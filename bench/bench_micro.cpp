@@ -62,17 +62,64 @@ void BM_ChunkStart(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkStart);
 
-void BM_InterNodeLayoutSlot(benchmark::State& state) {
-  const auto p = transposed_program(512);
+/// The inter-node layout benchmarks' array: range(0) == 0 is a dense
+/// 512 x 512 transposed sweep, 1 is add_opt_diagonal's n = 256 band
+/// (8,650,752 declared elements, 65,536 touched).
+ir::Program internode_bench_program(std::int64_t diagonal) {
+  if (diagonal == 0) return transposed_program(512);
+  constexpr std::int64_t n = 256;
+  return ir::ProgramBuilder("bench_diagonal")
+      .array("D", {66 * n, 2 * n})
+      .nest("diag", {{0, n - 1}, {0, n - 1}}, 0)
+      .read("D", {{1, 65}, {1, 1}})
+      .done()
+      .build();
+}
+
+void BM_InterNodeLayoutBuild(benchmark::State& state) {
+  const auto p = internode_bench_program(state.range(0));
+  const parallel::ParallelSchedule schedule(p, 64);
+  const storage::StorageTopology topo(storage::TopologyConfig::paper_default());
+  const auto partitioning = layout::partition_array(p, 0, schedule);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        layout::build_internode_layout(p, 0, partitioning, schedule, topo));
+  }
+}
+BENCHMARK(BM_InterNodeLayoutBuild)
+    ->ArgName("diagonal")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_InterNodeLayoutWalk(benchmark::State& state) {
+  const auto p = internode_bench_program(state.range(0));
   const parallel::ParallelSchedule schedule(p, 64);
   const storage::StorageTopology topo(storage::TopologyConfig::paper_default());
   const auto layout = layout::build_internode_layout(p, 0, schedule, topo);
-  const std::vector<std::int64_t> point{123, 456};
+  // Every access's element point in trace order. Each thread owns one
+  // contiguous block of the outer parallel loop, so the threads' walks
+  // concatenated are the nest's lexicographic order.
+  const auto& nest = p.nests()[0];
+  const std::size_t dims = p.array(0).dims();
+  std::vector<std::int64_t> points;
+  std::vector<std::int64_t> iter = nest.iterations().first();
+  do {
+    const auto element = nest.references()[0].map.evaluate(iter);
+    points.insert(points.end(), element.begin(), element.end());
+  } while (nest.iterations().next(iter));
+  const std::span<const std::int64_t> all(points);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(layout->slot(point));
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < all.size(); i += dims) {
+      sum += layout->slot(all.subspan(i, dims));
+    }
+    benchmark::DoNotOptimize(sum);
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(points.size() / dims));
 }
-BENCHMARK(BM_InterNodeLayoutSlot);
+BENCHMARK(BM_InterNodeLayoutWalk)->ArgName("diagonal")->Arg(0)->Arg(1);
 
 void BM_LruCacheAccess(benchmark::State& state) {
   storage::LruCache cache(static_cast<std::size_t>(state.range(0)));

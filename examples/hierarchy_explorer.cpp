@@ -4,6 +4,7 @@
 // API. (A miniature of the paper's Section 5.3 sensitivity study.)
 //
 //   $ ./build/examples/hierarchy_explorer [app]
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
@@ -15,6 +16,13 @@
 int main(int argc, char** argv) {
   using namespace flo;
   const std::string name = argc > 1 ? argv[1] : "applu";
+  const auto& names = workloads::workload_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::cerr << "unknown application '" << name << "', known:";
+    for (const auto& known : names) std::cerr << ' ' << known;
+    std::cerr << '\n';
+    return 2;
+  }
   const auto app = workloads::workload_by_name(name);
   std::cout << "application: " << app.name << " — " << app.description
             << "\n\n";

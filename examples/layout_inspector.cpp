@@ -4,6 +4,7 @@
 // layouts (a textual rendering of the paper's Fig. 2).
 //
 //   $ ./build/examples/layout_inspector [app]
+#include <algorithm>
 #include <iostream>
 
 #include "core/optimizer.hpp"
@@ -37,6 +38,13 @@ void render_ownership(const layout::InterNodeLayout& layout,
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "qio";
+  const auto& names = workloads::workload_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::cerr << "unknown application '" << name << "', known:";
+    for (const auto& known : names) std::cerr << ' ' << known;
+    std::cerr << '\n';
+    return 2;
+  }
   const auto app = workloads::workload_by_name(name);
   const storage::StorageTopology topology(
       storage::TopologyConfig::paper_default());

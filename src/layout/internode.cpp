@@ -1,6 +1,7 @@
 #include "layout/internode.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "linalg/gcd.hpp"
@@ -17,11 +18,17 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-std::int64_t InterNodeLayout::owner_of_s(
-    std::int64_t s, const parallel::BlockDecomposition& decomp) const {
+std::size_t InterNodeLayout::rank_of(std::uint64_t idx) const {
+  const RankWord& word = words_[idx / 64];
+  const std::uint64_t below =
+      word.bits & ((std::uint64_t{1} << (idx % 64)) - 1);
+  return word.rank + static_cast<std::uint64_t>(std::popcount(below));
+}
+
+parallel::ThreadId InterNodeLayout::owner_of_s(std::int64_t s) const {
   const std::int64_t iu =
       floor_div(s - partitioning_.beta, partitioning_.alpha);
-  return decomp.thread_of(iu);
+  return decomp_.thread_of(iu);
 }
 
 InterNodeLayout::InterNodeLayout(const ir::Program& program,
@@ -38,22 +45,22 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
   if (partitioning_.alpha == 0) {
     throw std::invalid_argument("InterNodeLayout: zero parallel stride");
   }
-  const parallel::BlockDecomposition& decomp =
-      schedule.decomposition(partitioning_.primary_nest);
+  decomp_ = schedule.decomposition(partitioning_.primary_nest);
   const auto& d = partitioning_.hyperplane;
+  const std::uint64_t elements =
+      static_cast<std::uint64_t>(space_.element_count());
+  words_.assign(static_cast<std::size_t>((elements + 63) / 64), RankWord{});
 
   // Pass 1: gather the touched elements of this array across every
   // reference of every nest (Algorithm 1 iterates "each data element
-  // accessed by thread j"), with their hyperplane value and owner.
+  // accessed by thread j"), deduplicated through the bitmap, with their
+  // hyperplane value, grouped by owner.
   struct Item {
     std::int64_t s;
     std::int64_t idx;
   };
   std::vector<std::vector<Item>> per_thread(schedule.thread_count());
-  // Dense tables over the declared box; -1 = untouched, -2 = touched but
-  // not yet assigned a slot (pass 2 overwrites every -2).
-  slot_of_.assign(static_cast<std::size_t>(space_.element_count()), -1);
-  owner_of_.assign(slot_of_.size(), 0);
+  std::vector<std::int64_t> element(space_.dims());
   for (const auto& nest : program.nests()) {
     bool touches = false;
     for (const auto& ref : nest.references()) {
@@ -65,20 +72,28 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
     while (more) {
       for (const auto& ref : nest.references()) {
         if (ref.array != array) continue;
-        const linalg::IntVector element = ref.map.evaluate(iter);
+        ref.map.evaluate_into(iter, element);
         const std::int64_t idx = space_.linearize_row_major(element);
-        if (slot_of_[idx] == -1) {
-          slot_of_[idx] = -2;
-          ++touched_;
+        const std::uint64_t u = static_cast<std::uint64_t>(idx);
+        if (u >= elements) {
+          throw std::out_of_range(
+              "InterNodeLayout: reference indexes outside the array");
+        }
+        std::uint64_t& bits = words_[u / 64].bits;
+        const std::uint64_t bit = std::uint64_t{1} << (u % 64);
+        if ((bits & bit) == 0) {
+          bits |= bit;
           const std::int64_t s = linalg::dot(d, element);
-          const parallel::ThreadId owner =
-              static_cast<parallel::ThreadId>(owner_of_s(s, decomp));
-          owner_of_[idx] = owner;
-          per_thread[owner].push_back({s, idx});
+          per_thread[owner_of_s(s)].push_back({s, idx});
         }
       }
       more = nest.iterations().next(iter);
     }
+  }
+  std::uint64_t touched = 0;
+  for (RankWord& word : words_) {
+    word.rank = touched;
+    touched += static_cast<std::uint64_t>(std::popcount(word.bits));
   }
 
   // Chunk size: Step II's S1/l, capped at the largest per-thread touched
@@ -96,6 +111,7 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
                           std::move(leaf_cache_of_thread), cap);
 
   // Pass 2: slab-major order within each thread, then chunk addressing.
+  slots_.assign(static_cast<std::size_t>(touched), 0);
   const std::uint64_t c = pattern_.chunk_elements();
   for (parallel::ThreadId t = 0; t < per_thread.size(); ++t) {
     auto& items = per_thread[t];
@@ -108,19 +124,18 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
       const std::uint64_t within = k % c;
       const std::int64_t slot =
           static_cast<std::int64_t>(pattern_.chunk_start(t, chunk) + within);
-      slot_of_[items[k].idx] = slot;
+      slots_[rank_of(static_cast<std::uint64_t>(items[k].idx))] = slot;
       patterned_slots_ = std::max(patterned_slots_, slot + 1);
     }
   }
-  file_slots_ = patterned_slots_;
 }
 
 std::int64_t InterNodeLayout::slot(
     std::span<const std::int64_t> element) const {
   const std::int64_t idx = space_.linearize_row_major(element);
-  if (idx >= 0 && idx < static_cast<std::int64_t>(slot_of_.size())) {
-    const std::int64_t s = slot_of_[static_cast<std::size_t>(idx)];
-    if (s >= 0) return s;
+  const std::uint64_t u = static_cast<std::uint64_t>(idx);
+  if (u / 64 < words_.size() && ((words_[u / 64].bits >> (u % 64)) & 1)) {
+    return slots_[rank_of(u)];
   }
   // Untouched element: lives in the canonical-order tail past the
   // patterned region (kept total and injective for robustness; the
@@ -135,18 +150,7 @@ std::int64_t InterNodeLayout::file_slots() const {
 
 parallel::ThreadId InterNodeLayout::owner(
     std::span<const std::int64_t> element) const {
-  const std::int64_t idx = space_.linearize_row_major(element);
-  if (idx >= 0 && idx < static_cast<std::int64_t>(slot_of_.size()) &&
-      slot_of_[static_cast<std::size_t>(idx)] >= 0) {
-    return owner_of_[static_cast<std::size_t>(idx)];
-  }
-  // Untouched element: derive the owner from the hyperplane directly.
-  const std::int64_t s = linalg::dot(partitioning_.hyperplane, element);
-  const std::int64_t iu =
-      floor_div(s - partitioning_.beta, partitioning_.alpha);
-  const std::int64_t t = std::clamp<std::int64_t>(
-      iu, 0, static_cast<std::int64_t>(pattern_.thread_count()) - 1);
-  return static_cast<parallel::ThreadId>(t);
+  return owner_of_s(linalg::dot(partitioning_.hyperplane, element));
 }
 
 std::string InterNodeLayout::describe() const {

@@ -3,16 +3,24 @@
 //
 // Following Algorithm 1 ("for each data element accessed by thread j"),
 // the layout packs the elements the program actually touches: ownership of
-// a touched element a follows from the partitioning hyperplane — s = d.a
-// determines the parallel-loop coordinate i_u = (s - beta) / alpha of the
-// iterations reaching it through the primary reference, and the block
-// decomposition maps i_u to its thread. Each thread's touched elements,
+// an element a follows from the partitioning hyperplane — s = d.a
+// determines the parallel-loop coordinate i_u = floor((s - beta) / alpha)
+// of the iterations reaching it through the primary reference, and the
+// primary nest's block decomposition maps i_u to its thread (clamping
+// coordinates outside the loop range). Each thread's touched elements,
 // taken in slab-major order, fill its chunks; chunk x starts at the
 // Algorithm 1 address. Untouched elements (possible when the affine image
 // of the iteration space does not cover the declared box) are appended
 // past the patterned region in canonical order, so the mapping stays total
 // and injective.
+//
+// Memory follows the access image: a touched bitmap over the declared box
+// with a cumulative rank per 64-bit word (2 bits per declared element),
+// plus one slot per touched element (8 bytes), stored in row-major rank
+// order. Building adds a transient 16 bytes per touched element.
 #pragma once
+
+#include <cstdint>
 
 #include "ir/program.hpp"
 #include "layout/chunk_pattern.hpp"
@@ -44,28 +52,37 @@ class InterNodeLayout final : public FileLayout {
   parallel::ThreadId owner(std::span<const std::int64_t> element) const;
 
   /// Number of elements the program touches in this array.
-  std::size_t touched_count() const { return touched_; }
+  std::size_t touched_count() const { return slots_.size(); }
 
   const ChunkPattern& pattern() const { return pattern_; }
   const ArrayPartitioning& partitioning() const { return partitioning_; }
 
  private:
-  std::int64_t owner_of_s(std::int64_t s,
-                          const parallel::BlockDecomposition& decomp) const;
+  /// Bits 0..63 of `bits` mark row-major elements 64w .. 64w+63 of the
+  /// declared box as touched; `rank` counts touched elements before 64w.
+  struct RankWord {
+    std::uint64_t bits = 0;
+    std::uint64_t rank = 0;
+  };
+
+  parallel::ThreadId owner_of_s(std::int64_t s) const;
+
+  /// Position of touched row-major element `idx` among all touched
+  /// elements in row-major order.
+  std::size_t rank_of(std::uint64_t idx) const;
 
   poly::DataSpace space_;
   ArrayPartitioning partitioning_;
+  parallel::BlockDecomposition decomp_;  ///< of the primary nest
   ChunkPattern pattern_;
 
-  /// touched row-major index -> file slot (Algorithm 1 packing), dense
-  /// over the declared box; -1 marks untouched elements. The trace walk
-  /// calls slot() once per element access, so the lookup must be a plain
-  /// load, not a hash probe.
-  std::vector<std::int64_t> slot_of_;
-  std::vector<parallel::ThreadId> owner_of_;
-  std::size_t touched_ = 0;
+  /// The touched bitmap with its ranks, and the file slot of each touched
+  /// element in rank order (Algorithm 1 packing). The trace walk calls
+  /// slot() once per element access, so the lookup is a few plain loads
+  /// and a popcount, not a hash probe.
+  std::vector<RankWord> words_;
+  std::vector<std::int64_t> slots_;
   std::int64_t patterned_slots_ = 0;  ///< end of the chunked region
-  std::int64_t file_slots_ = 0;
 };
 
 /// Convenience: runs Step I and Step II for one array; returns nullptr when

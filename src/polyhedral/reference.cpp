@@ -44,11 +44,25 @@ AffineReference AffineReference::from_dim_map(
 
 linalg::IntVector AffineReference::evaluate(
     std::span<const std::int64_t> iteration) const {
-  linalg::IntVector out = access_ * iteration;
-  for (std::size_t d = 0; d < out.size(); ++d) {
-    out[d] = linalg::checked_add(out[d], offset_[d]);
-  }
+  linalg::IntVector out(access_.rows(), 0);
+  evaluate_into(iteration, out);
   return out;
+}
+
+void AffineReference::evaluate_into(std::span<const std::int64_t> iteration,
+                                    std::span<std::int64_t> element) const {
+  if (iteration.size() != access_.cols() || element.size() != access_.rows()) {
+    throw std::invalid_argument(
+        "AffineReference::evaluate: dimension mismatch");
+  }
+  for (std::size_t d = 0; d < access_.rows(); ++d) {
+    std::int64_t acc = 0;
+    for (std::size_t k = 0; k < access_.cols(); ++k) {
+      acc = linalg::checked_add(
+          acc, linalg::checked_mul(access_.at(d, k), iteration[k]));
+    }
+    element[d] = linalg::checked_add(acc, offset_[d]);
+  }
 }
 
 AffineReference AffineReference::transformed(const linalg::IntMatrix& d) const {

@@ -39,6 +39,11 @@ class AffineReference {
   /// Evaluates the reference at an iteration point.
   linalg::IntVector evaluate(std::span<const std::int64_t> iteration) const;
 
+  /// evaluate() into a caller-owned buffer of array_dims() entries, so hot
+  /// loops over an iteration space allocate nothing per access.
+  void evaluate_into(std::span<const std::int64_t> iteration,
+                     std::span<std::int64_t> element) const;
+
   /// Returns the transformed reference r' = D * r (Section 4.1), i.e. the
   /// reference with access matrix D*Q and offset D*q.
   AffineReference transformed(const linalg::IntMatrix& d) const;

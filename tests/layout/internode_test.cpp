@@ -1,11 +1,15 @@
 #include "layout/internode.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "ir/builder.hpp"
+#include "linalg/int_matrix.hpp"
 #include "storage/topology.hpp"
 
 namespace flo::layout {
@@ -29,6 +33,85 @@ ir::Program transposed_program(std::int64_t n = 32) {
       .read("A", {{0, 1}, {1, 0}})
       .done()
       .build();
+}
+
+/// add_opt_diagonal's shape: a = (i1 + 65*i2, i1 + i2) over an n x n nest
+/// touches n^2 of the 132 n^2 declared elements.
+ir::Program diagonal_band_program(std::int64_t n) {
+  return ir::ProgramBuilder("diagonal")
+      .array("D", {66 * n, 2 * n})
+      .nest("diag", {{0, n - 1}, {0, n - 1}}, 0)
+      .read("D", {{1, 65}, {1, 1}})
+      .done()
+      .build();
+}
+
+/// A strided reference A[4*i1][i2]: one row in four is touched.
+ir::Program sparse_rows_program() {
+  return ir::ProgramBuilder("sparse")
+      .array("A", {128, 32})
+      .nest("n", {{0, 31}, {0, 31}}, 0)
+      .read("A", {{4, 0}, {0, 1}})
+      .done()
+      .build();
+}
+
+const InterNodeLayout& as_internode(const FileLayoutPtr& layout) {
+  const auto* internode = dynamic_cast<const InterNodeLayout*>(layout.get());
+  if (internode == nullptr) throw std::logic_error("not an inter-node layout");
+  return *internode;
+}
+
+/// Algorithm 1's packing written out plainly: collect every element some
+/// reference touches, group them by the thread owning their parallel-loop
+/// coordinate, sort each group by (s, row-major index) and give the k-th
+/// element chunk_start(t, k / c) + k % c. Untouched elements follow the
+/// patterned region in row-major order. Indexed by row-major index.
+std::vector<std::int64_t> reference_slots(
+    const ir::Program& p, const parallel::ParallelSchedule& schedule,
+    const InterNodeLayout& layout) {
+  const auto& space = p.array(0).space();
+  std::set<std::int64_t> touched;
+  for (const auto& nest : p.nests()) {
+    std::vector<std::int64_t> iter = nest.iterations().first();
+    do {
+      for (const auto& ref : nest.references()) {
+        if (ref.array != 0) continue;
+        touched.insert(space.linearize_row_major(ref.map.evaluate(iter)));
+      }
+    } while (nest.iterations().next(iter));
+  }
+  const ArrayPartitioning& part = layout.partitioning();
+  const auto& decomp = schedule.decomposition(part.primary_nest);
+  std::map<parallel::ThreadId, std::vector<std::pair<std::int64_t,
+                                                     std::int64_t>>>
+      by_thread;
+  for (const std::int64_t idx : touched) {
+    const std::int64_t s =
+        linalg::dot(part.hyperplane, space.delinearize_row_major(idx));
+    std::int64_t iu = (s - part.beta) / part.alpha;
+    if ((s - part.beta) % part.alpha != 0 && s < part.beta) --iu;
+    by_thread[decomp.thread_of(iu)].push_back({s, idx});
+  }
+  std::vector<std::int64_t> slots(
+      static_cast<std::size_t>(space.element_count()), -1);
+  std::int64_t patterned_end = 0;
+  const std::uint64_t c = layout.pattern().chunk_elements();
+  for (auto& [thread, items] : by_thread) {
+    std::sort(items.begin(), items.end());
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      const auto slot = static_cast<std::int64_t>(
+          layout.pattern().chunk_start(thread, k / c) + k % c);
+      slots[static_cast<std::size_t>(items[k].second)] = slot;
+      patterned_end = std::max(patterned_end, slot + 1);
+    }
+  }
+  for (std::size_t idx = 0; idx < slots.size(); ++idx) {
+    if (slots[idx] < 0) {
+      slots[idx] = patterned_end + static_cast<std::int64_t>(idx);
+    }
+  }
+  return slots;
 }
 
 TEST(InterNodeLayoutTest, SlotsAreInjective) {
@@ -154,6 +237,158 @@ TEST(InterNodeLayoutTest, SparseImagePacksOnlyTouchedElements) {
       layout->slot(std::vector<std::int64_t>{1, 0});
   EXPECT_LT(touched_slot, untouched_slot);
   EXPECT_LT(untouched_slot, layout->file_slots());
+}
+
+TEST(InterNodeLayoutTest, SlotsMatchReferencePacking) {
+  const std::vector<ir::Program> programs = {
+      transposed_program(32),
+      sparse_rows_program(),
+      diagonal_band_program(8),
+      // Two references of one nest, overlapping in all but one row.
+      ir::ProgramBuilder("two_refs")
+          .array("A", {33, 32})
+          .nest("n", {{0, 31}, {0, 31}}, 0)
+          .read("A", {{0, 1}, {1, 0}})
+          .write_ofs("A", {{0, 1}, {1, 0}}, {1, 0})
+          .done()
+          .build(),
+      ir::ProgramBuilder("three_d")
+          .array("B", {8, 6, 16})
+          .nest("n", {{0, 15}, {0, 5}, {0, 7}}, 0)
+          .read("B", {{0, 0, 1}, {0, 1, 0}, {1, 0, 0}})
+          .done()
+          .build(),
+      // 37 x 23 = 851 elements: the bitmap's last word is partly outside
+      // the box, and row 0 stays untouched.
+      ir::ProgramBuilder("odd_box")
+          .array("C", {37, 23})
+          .nest("n", {{0, 22}, {0, 35}}, 0)
+          .read_ofs("C", {{0, 1}, {1, 0}}, {1, 0})
+          .done()
+          .build(),
+  };
+  for (const auto& p : programs) {
+    SCOPED_TRACE(p.name());
+    const parallel::ParallelSchedule schedule(p, 8);
+    const auto generic =
+        build_internode_layout(p, 0, schedule, small_topology());
+    ASSERT_NE(generic, nullptr);
+    const InterNodeLayout& layout = as_internode(generic);
+    const auto expected = reference_slots(p, schedule, layout);
+    const auto& space = p.array(0).space();
+    std::size_t touched = 0;
+    for (std::int64_t i = 0; i < space.element_count(); ++i) {
+      const std::int64_t slot = layout.slot(space.delinearize_row_major(i));
+      EXPECT_EQ(slot, expected[static_cast<std::size_t>(i)])
+          << "element " << i;
+      if (slot < layout.file_slots() - space.element_count()) ++touched;
+    }
+    EXPECT_EQ(layout.touched_count(), touched);
+  }
+}
+
+TEST(InterNodeLayoutTest, UntouchedElementsTakeTheirHyperplaneOwner) {
+  // Elements with one hyperplane value s lie in one slab, so an untouched
+  // element belongs to whichever thread owns the touched elements of its s.
+  const std::vector<ir::Program> programs = {
+      // A[i1][2*i2]: odd columns are untouched, beside touched ones.
+      ir::ProgramBuilder("odd_columns")
+          .array("A", {64, 64})
+          .nest("n", {{0, 63}, {0, 31}}, 0)
+          .read("A", {{1, 0}, {0, 2}})
+          .done()
+          .build(),
+      diagonal_band_program(8),
+  };
+  for (const auto& p : programs) {
+    SCOPED_TRACE(p.name());
+    const parallel::ParallelSchedule schedule(p, 8);
+    const auto generic =
+        build_internode_layout(p, 0, schedule, small_topology());
+    ASSERT_NE(generic, nullptr);
+    const InterNodeLayout& layout = as_internode(generic);
+    const auto& space = p.array(0).space();
+    const std::int64_t patterned_end =
+        layout.file_slots() - space.element_count();
+    const auto& d = layout.partitioning().hyperplane;
+    std::map<std::int64_t, parallel::ThreadId> owner_of_s;
+    std::vector<std::vector<std::int64_t>> untouched;
+    for (std::int64_t i = 0; i < space.element_count(); ++i) {
+      auto point = space.delinearize_row_major(i);
+      if (layout.slot(point) < patterned_end) {
+        owner_of_s[linalg::dot(d, point)] = layout.owner(point);
+      } else {
+        untouched.push_back(std::move(point));
+      }
+    }
+    std::size_t compared = 0;
+    for (const auto& point : untouched) {
+      const auto it = owner_of_s.find(linalg::dot(d, point));
+      if (it == owner_of_s.end()) continue;
+      EXPECT_EQ(layout.owner(point), it->second)
+          << "element (" << point[0] << ", " << point[1] << ")";
+      ++compared;
+    }
+    EXPECT_GT(compared, 0u);
+  }
+
+  // Rows between touched rows of A[4*i1][i2] share the parallel-loop
+  // coordinate floor(row / 4) of the touched row below them, so rows 4..7
+  // go with row 4 (thread 0) and rows 32..47 with rows 32..44 (thread 2).
+  const auto p = sparse_rows_program();
+  const parallel::ParallelSchedule schedule(p, 8);
+  const auto generic =
+      build_internode_layout(p, 0, schedule, small_topology());
+  ASSERT_NE(generic, nullptr);
+  const InterNodeLayout& layout = as_internode(generic);
+  for (std::int64_t row = 4; row < 8; ++row) {
+    EXPECT_EQ(layout.owner(std::vector<std::int64_t>{row, 3}), 0u)
+        << "row " << row;
+  }
+  for (std::int64_t row = 32; row < 48; ++row) {
+    EXPECT_EQ(layout.owner(std::vector<std::int64_t>{row, 3}), 2u)
+        << "row " << row;
+  }
+}
+
+// Under ASan or TSan the sanitizer's allocator serves the heap and glibc's
+// mallinfo2 counters do not move, so a footprint delta measures nothing.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerHeap = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerHeap = true;
+#else
+constexpr bool kSanitizerHeap = false;
+#endif
+#else
+constexpr bool kSanitizerHeap = false;
+#endif
+
+std::size_t heap_bytes_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(InterNodeLayoutTest, DiagonalBandFootprintFollowsAccessImage) {
+  if (kSanitizerHeap) {
+    GTEST_SKIP() << "sanitizer allocator: mallinfo2 does not see the heap";
+  }
+  // add_opt_diagonal at n = 256: 8,650,752 declared elements, 65,536
+  // touched. A slot per declared element alone would take 66 MiB.
+  const auto p = diagonal_band_program(256);
+  const parallel::ParallelSchedule schedule(p, 64);
+  const storage::StorageTopology topology(
+      storage::TopologyConfig::paper_default());
+  const ArrayPartitioning partitioning = partition_array(p, 0, schedule);
+  const std::size_t before = heap_bytes_in_use();
+  const auto generic =
+      build_internode_layout(p, 0, partitioning, schedule, topology);
+  const std::size_t after = heap_bytes_in_use();
+  ASSERT_NE(generic, nullptr);
+  EXPECT_EQ(as_internode(generic).touched_count(), 65536u);
+  EXPECT_LT(after, before + (std::size_t{4} << 20))
+      << "retained " << (after - before) << " bytes";
 }
 
 TEST(InterNodeLayoutTest, LeafCacheMappingFollowsThreadMapping) {

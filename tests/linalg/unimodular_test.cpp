@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "linalg/gcd.hpp"
 
 namespace flo::linalg {
@@ -75,6 +77,17 @@ struct CompletionCase {
   IntVector d;
   std::size_t row;
 };
+
+// Without a printer gtest dumps the raw bytes of the case, heap pointers
+// included, so the ctest names gtest_discover_tests derives from it would
+// change from build to build.
+void PrintTo(const CompletionCase& c, std::ostream* os) {
+  *os << "d=(";
+  for (std::size_t i = 0; i < c.d.size(); ++i) {
+    *os << (i ? ", " : "") << c.d[i];
+  }
+  *os << ") row=" << c.row;
+}
 
 class CompletionPropertyTest
     : public ::testing::TestWithParam<CompletionCase> {};

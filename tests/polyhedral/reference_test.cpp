@@ -20,6 +20,20 @@ TEST(AffineReferenceTest, OffsetApplied) {
   EXPECT_EQ(element, (linalg::IntVector{6, 3}));
 }
 
+TEST(AffineReferenceTest, EvaluateIntoMatchesEvaluate) {
+  AffineReference ref(linalg::IntMatrix{{1, 65}, {0, 1}},
+                      linalg::IntVector{3, -2});
+  const std::vector<std::int64_t> iter{4, 7};
+  std::vector<std::int64_t> element(2, -1);
+  ref.evaluate_into(iter, element);
+  EXPECT_EQ(element, ref.evaluate(iter));
+  EXPECT_EQ(element, (linalg::IntVector{462, 5}));
+  std::vector<std::int64_t> short_buffer(1);
+  EXPECT_THROW(ref.evaluate_into(iter, short_buffer), std::invalid_argument);
+  EXPECT_THROW(ref.evaluate(std::vector<std::int64_t>{4}),
+               std::invalid_argument);
+}
+
 TEST(AffineReferenceTest, OffsetLengthMismatch) {
   EXPECT_THROW(AffineReference(linalg::IntMatrix{{1, 0}},
                                linalg::IntVector{0, 0}),
