@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): throughput of the pieces that
 // dominate compile time and simulation time — Step I partitioning, chunk
-// addressing, LRU operations, trace generation, and hierarchy simulation.
+// addressing, LRU and event-queue operations, trace generation, and
+// hierarchy simulation.
 #include <benchmark/benchmark.h>
 
 #include "core/optimizer.hpp"
@@ -9,6 +10,7 @@
 #include "layout/canonical.hpp"
 #include "layout/internode.hpp"
 #include "storage/disk_model.hpp"
+#include "storage/event_queue.hpp"
 #include "storage/lru_cache.hpp"
 #include "storage/simulator.hpp"
 #include "trace/generator.hpp"
@@ -121,15 +123,52 @@ void BM_InterNodeLayoutWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_InterNodeLayoutWalk)->ArgName("diagonal")->Arg(0)->Arg(1);
 
+/// Inserts over a key span twice the capacity (every insert past warm-up
+/// evicts). parts:3 splits the cache into three tenant partitions, each
+/// tenant inserting its own file's blocks, as QoS-partitioned runs do.
 void BM_LruCacheAccess(benchmark::State& state) {
-  storage::LruCache cache(static_cast<std::size_t>(state.range(0)));
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  const auto parts = static_cast<std::uint32_t>(state.range(1));
+  storage::LruCache cache(capacity);
+  if (parts > 0) {
+    std::vector<std::size_t> quotas(parts, capacity / parts);
+    quotas[0] += capacity % parts;
+    cache.set_partitions(quotas);
+  }
   std::uint64_t b = 0;
   for (auto _ : state) {
-    cache.insert({0, b % (2ull * state.range(0))});
+    const std::uint32_t owner = parts > 0 ? b % parts : 0;
+    cache.insert({owner, b % (2ull * capacity)}, owner);
     ++b;
   }
 }
-BENCHMARK(BM_LruCacheAccess)->Arg(64)->Arg(8192);
+BENCHMARK(BM_LruCacheAccess)
+    ->ArgNames({"cap", "parts"})
+    ->Args({64, 0})
+    ->Args({8192, 0})
+    ->Args({64, 3});
+
+/// Pop then push at a steady depth: range(0) pending events (tenant_qos
+/// runs 3 x 64 thread slots). A quarter of the pushes tie the popped time,
+/// a zero-latency hop; the rest land on an integer grid ahead of it, where
+/// they tie each other exactly.
+void BM_EventQueueChurn(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  storage::EventQueue queue;
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    queue.push(static_cast<double>(i % 16), storage::EventKind::kThreadIssue,
+               i);
+  }
+  std::uint64_t x = 1;
+  for (auto _ : state) {
+    const storage::Event e = queue.pop();
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t step = (x >> 33) % 4 == 0 ? 0 : 1 + (x >> 40) % 16;
+    queue.push(e.time + static_cast<double>(step), e.kind, e.a);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueChurn)->Arg(192);
 
 void BM_TraceGeneration(benchmark::State& state) {
   const auto p = transposed_program(256);

@@ -5,7 +5,7 @@
 //
 //   * look     — the elevator: continue the current sweep from the head
 //                position, reverse when exhausted. Bit-identical to the
-//                former inline code (same {lba, seq} ordered map, same
+//                former inline code (same {lba, seq} order, same
 //                lower_bound/sweep-flag logic), which is what keeps
 //                FLO_SCHED=look inside the qos-neutrality envelope.
 //   * fcfs     — strict arrival order, seek costs be damned. The honest
@@ -23,8 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <vector>
 
 #include "storage/qos.hpp"
 
@@ -51,17 +50,19 @@ class DiskScheduler {
 
  private:
   struct Rec {
-    std::uint32_t thread = 0;
+    std::uint64_t lba = 0;
+    std::uint64_t seq = 0;  ///< arrival order
     double deadline = 0;
+    std::uint32_t thread = 0;
   };
 
   SchedPolicyKind policy_ = SchedPolicyKind::kLook;
   double window_ = 20e-3;
-  // Keyed by (lba, arrival seq): LOOK's sweep order, and a deterministic
-  // tie-break for every policy. fcfs/priority scan linearly — queue depth
-  // is bounded by the thread count, so O(n) per pop is noise next to the
-  // map upkeep itself.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, Rec> pending_;
+  // Sorted by (lba, arrival seq): LOOK's sweep order, and a deterministic
+  // tie-break for every policy. Queue depth is bounded by the thread
+  // count, so the O(n) insert/erase shifts of one contiguous vector (and
+  // fcfs/priority's linear scans) beat a node-based ordered map.
+  std::vector<Rec> pending_;
   bool upward_ = true;  ///< current elevator sweep direction
   std::uint64_t seq_ = 0;
 };

@@ -9,70 +9,43 @@ void EventQueue::push(double time, EventKind kind, std::uint32_t a,
   if (time < last_popped_) {
     throw std::logic_error("EventQueue: event posted before current time");
   }
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    time_[slot] = time;
-    seq_[slot] = next_seq_++;
-    kind_[slot] = kind;
-    a_[slot] = a;
-    b_[slot] = b;
-  } else {
-    slot = static_cast<std::uint32_t>(time_.size());
-    time_.push_back(time);
-    seq_.push_back(next_seq_++);
-    kind_.push_back(kind);
-    a_.push_back(a);
-    b_.push_back(b);
+  const Node node{time, next_seq_++, b, a, kind};
+  std::size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!before(node, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
   }
-  heap_.push_back(slot);
-  sift_up(heap_.size() - 1);
+  heap_[hole] = node;
   if (heap_.size() > max_pending_) max_pending_ = heap_.size();
 }
 
 Event EventQueue::pop() {
   if (heap_.empty()) throw std::logic_error("EventQueue: pop on empty queue");
-  const std::uint32_t slot = heap_.front();
-  heap_.front() = heap_.back();
+  const Node top = heap_.front();
+  const Node last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  last_popped_ = time_[slot];
-  free_.push_back(slot);
-  return {time_[slot], kind_[slot], a_[slot], b_[slot]};
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t best = i;
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = 2 * i + 2;
-    if (left < n && before(heap_[left], heap_[best])) best = left;
-    if (right < n && before(heap_[right], heap_[best])) best = right;
-    if (best == i) break;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
+  if (n > 0) {
+    std::size_t hole = 0;
+    for (;;) {
+      std::size_t child = 2 * hole + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], last)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = last;
   }
+  last_popped_ = top.time;
+  return {top.time, top.kind, top.a, top.b};
 }
 
 void EventQueue::clear() {
-  time_.clear();
-  seq_.clear();
-  kind_.clear();
-  a_.clear();
-  b_.clear();
   heap_.clear();
-  free_.clear();
   next_seq_ = 0;
   last_popped_ = 0;
   max_pending_ = 0;

@@ -1,10 +1,9 @@
 // Global discrete-event queue for the event simulator core.
 //
-// Structure-of-arrays storage: event times, kinds and payload words live in
-// parallel vectors indexed by slot, and the binary heap orders plain slot
-// ids — so sifting moves 4-byte ids, the comparison touches only the
-// time/sequence arrays, and freed slots recycle through a free list without
-// deallocating. Ordering is (time, sequence): sequence numbers are assigned
+// One binary min-heap of whole events: each node carries its own
+// (time, seq) key and payload inline, so a comparison reads the two nodes
+// it compares and a sift moves one hole instead of swapping at each
+// level. Ordering is (time, sequence): sequence numbers are assigned
 // at push, which makes the pop order deterministic for simultaneous events
 // (first posted fires first) and lets the queue assert monotonic virtual
 // time — an event may never be posted before the last popped time.
@@ -16,7 +15,7 @@
 namespace flo::storage {
 
 /// What an event means to the engine. The queue itself is agnostic; the
-/// kinds are defined here so the SoA payload stays one byte per event.
+/// kinds are defined here so a node stores its kind in one byte.
 enum class EventKind : std::uint8_t {
   kThreadIssue,    ///< a thread is ready to issue its next block request
   kIoArrive,       ///< a request reaches its I/O node's service queue
@@ -40,8 +39,8 @@ class EventQueue {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// Earliest pending time (heap top); undefined when empty.
-  double next_time() const { return time_[heap_.front()]; }
+  /// Earliest pending time; undefined when empty.
+  double next_time() const { return heap_.front().time; }
 
   /// Schedules an event. `time` must be >= the last popped time (virtual
   /// time is monotonic); violations throw std::logic_error — an engine bug,
@@ -58,21 +57,17 @@ class EventQueue {
   void clear();
 
  private:
-  bool before(std::uint32_t x, std::uint32_t y) const {
-    return time_[x] != time_[y] ? time_[x] < time_[y] : seq_[x] < seq_[y];
+  struct Node {
+    double time;
+    std::uint64_t seq;
+    std::uint64_t b;
+    std::uint32_t a;
+    EventKind kind;
+  };
+  static bool before(const Node& x, const Node& y) {
+    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
   }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-
-  // SoA event storage, indexed by slot id.
-  std::vector<double> time_;
-  std::vector<std::uint64_t> seq_;
-  std::vector<EventKind> kind_;
-  std::vector<std::uint32_t> a_;
-  std::vector<std::uint64_t> b_;
-
-  std::vector<std::uint32_t> heap_;  ///< slot ids, min-heap by (time, seq)
-  std::vector<std::uint32_t> free_;  ///< recycled slot ids
+  std::vector<Node> heap_;  ///< min-heap by (time, seq)
   std::uint64_t next_seq_ = 0;
   double last_popped_ = 0;
   std::size_t max_pending_ = 0;

@@ -182,21 +182,25 @@ std::optional<std::size_t> MqCache::queue_of(BlockKey key) const {
 }
 
 void MqCache::set_partitions(std::vector<std::size_t> quotas) {
+  // Validate everything first: a bad vector leaves the cache untouched.
+  std::size_t total = 0;
+  for (std::size_t quota : quotas) {
+    if (quota == 0) {
+      throw std::invalid_argument("MqCache: zero partition quota");
+    }
+    if (quota > capacity_ - total) {
+      throw std::invalid_argument("MqCache: partition quotas exceed capacity");
+    }
+    total += quota;
+  }
   clear();
   parts_.clear();
-  if (quotas.empty()) return;
-  std::size_t total = 0;
   parts_.reserve(quotas.size());
   for (std::size_t quota : quotas) {
-    total += quota;
     // Each partition is a full MQ instance: the life_time default derives
     // from the partition's own quota, so a single full-capacity partition
     // is the unpartitioned cache.
     parts_.emplace_back(quota, queue_count_, life_time_param_);
-  }
-  if (total > capacity_) {
-    parts_.clear();
-    throw std::invalid_argument("MqCache: partition quotas exceed capacity");
   }
 }
 

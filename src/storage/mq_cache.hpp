@@ -65,8 +65,9 @@ class MqCache {
 
   /// --- per-tenant partitioning (DESIGN.md §4k) --------------------------
   /// Carves the cache into one independent MQ instance per tenant with
-  /// the given block quotas (sum <= capacity; ghost memory and expiry
-  /// clocks are per tenant). Clears all residency. An empty vector
+  /// the given block quotas (each non-zero, sum <= capacity; a bad vector
+  /// throws before any state changes; ghost memory and expiry clocks are
+  /// per tenant). Clears all residency. An empty vector
   /// returns to the unpartitioned cache. A single partition at full
   /// capacity behaves bit-identically to the unpartitioned cache.
   void set_partitions(std::vector<std::size_t> quotas);

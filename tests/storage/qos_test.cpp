@@ -126,6 +126,35 @@ TEST(LruPartitionTest, QuotaSumAboveCapacityRejected) {
   EXPECT_THROW(cache.set_partitions({3, 2}), std::invalid_argument);
 }
 
+TEST(LruPartitionTest, QuotaGrowPastCapacityRejected) {
+  LruCache cache(8);
+  cache.set_partitions({3, 3});
+  cache.insert({0, 1}, 0);
+  // 3 + 3 of 8 leaves 2 blocks of slack: 5 is the largest legal quota.
+  EXPECT_THROW(cache.set_partition_quota(0, 6), std::invalid_argument);
+  EXPECT_EQ(cache.partition_quota(0), 3u);
+  EXPECT_TRUE(cache.contains({0, 1}));
+  EXPECT_TRUE(cache.set_partition_quota(0, 5).empty());
+  EXPECT_THROW(cache.set_partition_quota(1, 4), std::invalid_argument);
+  EXPECT_TRUE(cache.set_partition_quota(1, 3).empty());
+}
+
+TEST(LruPartitionTest, ZeroQuotaLeavesTheCacheUnpartitioned) {
+  LruCache cache(8);
+  try {
+    cache.set_partitions({2, 0, 3});
+    FAIL() << "a zero quota must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "LruCache: zero partition quota");
+  }
+  EXPECT_FALSE(cache.partitioned());
+  EXPECT_EQ(cache.partition_count(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.insert({0, 1}, 1).has_value());
+  EXPECT_TRUE(cache.contains({0, 1}));
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(LruPartitionTest, ShrinkingAQuotaEvictsItsLruBlocks) {
   LruCache cache(4);
   cache.set_partitions({3, 1});
@@ -173,6 +202,21 @@ TEST(MqPartitionTest, VictimsComeFromTheOwnersOwnPartition) {
   EXPECT_TRUE(cache.contains({1, 1}));
   EXPECT_EQ(cache.partition_occupancy(0), 2u);
   EXPECT_EQ(cache.partition_occupancy(1), 1u);
+}
+
+TEST(MqPartitionTest, ZeroQuotaLeavesTheCacheUnpartitioned) {
+  MqCache cache(8);
+  try {
+    cache.set_partitions({2, 0, 3});
+    FAIL() << "a zero quota must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "MqCache: zero partition quota");
+  }
+  EXPECT_FALSE(cache.partitioned());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.insert({0, 1}, 1).has_value());
+  EXPECT_TRUE(cache.contains({0, 1}));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(MqPartitionTest, HitsRouteToTheOwningPartition) {
