@@ -23,11 +23,11 @@
 namespace flo::storage {
 namespace {
 
-enum class CacheMode { kBoth, kStorageOnly, kNone };
+enum class CacheMode { kBoth, kIoOnly, kStorageOnly, kNone };
 enum class QosMode { kNone, kTenants, kStatic, kDynamic, kPriority };
 
-constexpr CacheMode kCacheModes[] = {CacheMode::kBoth, CacheMode::kStorageOnly,
-                                     CacheMode::kNone};
+constexpr CacheMode kCacheModes[] = {CacheMode::kBoth, CacheMode::kIoOnly,
+                                     CacheMode::kStorageOnly, CacheMode::kNone};
 constexpr QosMode kQosModes[] = {QosMode::kNone, QosMode::kTenants,
                                  QosMode::kStatic, QosMode::kDynamic,
                                  QosMode::kPriority};
@@ -77,8 +77,10 @@ TopologyConfig golden_config(CacheMode caches, std::uint32_t prefetch,
   c.block_size = 2048;
   c.io_cache_bytes = 12 * c.block_size;
   c.storage_cache_bytes = 24 * c.block_size;
-  c.io_cache_enabled = caches == CacheMode::kBoth;
-  c.storage_cache_enabled = caches != CacheMode::kNone;
+  c.io_cache_enabled =
+      caches == CacheMode::kBoth || caches == CacheMode::kIoOnly;
+  c.storage_cache_enabled =
+      caches == CacheMode::kBoth || caches == CacheMode::kStorageOnly;
   c.prefetch_depth = prefetch;
   c.model_writes = writes;
   if (faults) {
@@ -178,26 +180,26 @@ void expect_goldens(PolicyKind policy, const std::vector<Golden>& goldens) {
 
 TEST(RequestPathGoldenTest, LruInclusive) {
   expect_goldens(PolicyKind::kLruInclusive,
-                 {{SimCoreKind::kClock, 1, 0x4a00f4975b96882eull},
-                  {SimCoreKind::kClock, 4, 0x80963d6788a631ebull},
-                  {SimCoreKind::kEvent, 1, 0xfea34b326ffad59dull},
-                  {SimCoreKind::kEvent, 4, 0x4384972606bf3c70ull}});
+                 {{SimCoreKind::kClock, 1, 0x7e4faa89bdfbc900ull},
+                  {SimCoreKind::kClock, 4, 0x66b6dc45682cb542ull},
+                  {SimCoreKind::kEvent, 1, 0xace7b927acf2a604ull},
+                  {SimCoreKind::kEvent, 4, 0x7f2652defb5057a9ull}});
 }
 
 TEST(RequestPathGoldenTest, DemoteLru) {
   expect_goldens(PolicyKind::kDemoteLru,
-                 {{SimCoreKind::kClock, 1, 0x24c414ecf6901e16ull},
-                  {SimCoreKind::kClock, 4, 0x3ad93b31738eb304ull},
-                  {SimCoreKind::kEvent, 1, 0x0fbe3d7822ef1d1dull},
-                  {SimCoreKind::kEvent, 4, 0x31fed76f716a5234ull}});
+                 {{SimCoreKind::kClock, 1, 0x2761daf4f0f7612dull},
+                  {SimCoreKind::kClock, 4, 0x5331815870314a69ull},
+                  {SimCoreKind::kEvent, 1, 0xf40f69cf6d27e903ull},
+                  {SimCoreKind::kEvent, 4, 0x5f7da4ea50f68cb7ull}});
 }
 
 TEST(RequestPathGoldenTest, Karma) {
   expect_goldens(PolicyKind::kKarma,
-                 {{SimCoreKind::kClock, 1, 0xf6c13522a91937c2ull},
-                  {SimCoreKind::kClock, 4, 0x60f780b529e30812ull},
-                  {SimCoreKind::kEvent, 1, 0x9da4b6571e1250d9ull},
-                  {SimCoreKind::kEvent, 4, 0x929b577f14e5a303ull}});
+                 {{SimCoreKind::kClock, 1, 0xb6ac63a2bf987576ull},
+                  {SimCoreKind::kClock, 4, 0xd31e9d7e44042493ull},
+                  {SimCoreKind::kEvent, 1, 0x262ef142e0d58353ull},
+                  {SimCoreKind::kEvent, 4, 0x7b7d5adb440b4192ull}});
 }
 
 }  // namespace
