@@ -2,25 +2,46 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "storage/simulator.hpp"
 
 namespace flo::storage {
 
 EventEngine::EventEngine(HierarchySimulator& sim) : sim_(sim) {}
 
-void EventEngine::note_wait(QueueLayerStats& layer,
-                            std::size_t depth_after_push) {
-  if (depth_after_push > layer.max_depth) layer.max_depth = depth_after_push;
+void EventEngine::note_depth(obs::Gauge* gauge, std::size_t depth) {
+  if (gauge) gauge->set(static_cast<std::int64_t>(depth));
 }
 
 void EventEngine::charge_wait(QueueLayerStats& layer, double waited) {
   ++layer.waits;
   layer.wait_time += waited;
+}
+
+bool EventEngine::admit(Server& server, QueueLayerStats& layer,
+                        obs::Gauge* gauge, std::uint32_t thread, double now) {
+  if (!server.busy) return true;
+  req_[thread].arrival = now;
+  server.wait.push_back(thread);
+  layer.max_depth = std::max<std::uint64_t>(layer.max_depth,
+                                            server.wait.size());
+  note_depth(gauge, server.wait.size());
+  return false;
+}
+
+bool EventEngine::next_waiter(Server& server, QueueLayerStats& layer,
+                              obs::Gauge* gauge, double now,
+                              std::uint32_t& thread) {
+  if (server.busy || server.wait.empty()) return false;
+  thread = server.wait.front();
+  server.wait.pop_front();
+  charge_wait(layer, now - req_[thread].arrival);
+  note_depth(gauge, server.wait.size());
+  // The drained waiter's lookups/hits belong to its own tenant.
+  sim_.tenant_switch(thread, result_);
+  return true;
 }
 
 bool EventEngine::analytic_eligible() const {
@@ -70,24 +91,10 @@ void EventEngine::run_phase_analytic(std::uint32_t thread) {
       // inside the event≡clock tolerance envelope.
       const double dt = t1 + sim_.network_.io_storage_hop() +
                         sim_.disks_.sequential_transfer();
-      const std::uint64_t rest = run - m;
-      const double total = dt * static_cast<double>(rest);
+      const double total = dt * static_cast<double>(run - m);
       now += total;
       busy_acc += total;
-      // Settle per-disk head positions and read counts in one pass.
-      const std::uint64_t first = ev.block + m;
-      const std::uint64_t full = rest / cycle;
-      const std::uint64_t rem = rest % cycle;
-      const std::uint32_t phase = static_cast<std::uint32_t>(first % cycle);
-      for (std::uint32_t dsk = 0; dsk < cycle; ++dsk) {
-        const std::uint32_t offset = (dsk + cycle - phase) % cycle;
-        const std::uint64_t count = full + (offset < rem ? 1u : 0u);
-        if (count == 0) continue;
-        const std::uint64_t last = first + offset + (count - 1) * cycle;
-        sim_.disks_.note_sequential_reads(
-            static_cast<NodeId>(dsk),
-            sim_.striping_.lba_of({ev.file, last}), count);
-      }
+      sim_.settle_stream(ev.file, ev.block + m, run - m);
     }
     result_.accesses += run;
     result_.elements += ev.element_count * run;
@@ -99,102 +106,33 @@ void EventEngine::run_phase_analytic(std::uint32_t thread) {
 
 void EventEngine::issue_block(std::uint32_t thread, double now) {
   AccessEvent& ev = pumps_[thread].head();
-  const auto& cfg = sim_.topology_.config();
-  const BlockKey key{ev.file, ev.block};
   Request& r = req_[thread];
-  r = Request{};
-  r.key = key;
-  r.elements = ev.element_count;
-  r.is_write = cfg.model_writes && ev.is_write;
-  r.io = sim_.io_node_of_thread_[thread];
-  r.node = sim_.striping_.storage_node_of(key);
-  r.lba = sim_.striping_.lba_of(key);
-  r.issue = now;
+  const double front = sim_.begin_request(thread, now, ev, r, result_);
   // Consume the block from the buffered extent (run_blocks == 0 degrades
   // to one block; completion refills once the extent is drained).
   ++ev.block;
   if (ev.run_blocks != 0) --ev.run_blocks;
-
-  ++result_.accesses;
-  result_.elements += r.elements;
-  double front = cfg.latency.cpu_per_element * static_cast<double>(r.elements);
-  front += sim_.network_.compute_io_hop();
-  if (sim_.pending_writeback_cost_ > 0) {
-    // Deferred storage-level write-backs are charged to the next request.
-    front += sim_.pending_writeback_cost_;
-    result_.disk_writes += sim_.pending_writeback_count_;
-    sim_.pending_writeback_cost_ = 0;
-    sim_.pending_writeback_count_ = 0;
-  }
-
-  if (sim_.policy_ == PolicyKind::kKarma) {
-    const CacheLevel level = sim_.karma_.level_of(key);
-    const bool io_online =
-        !sim_.faults_.enabled() ||
-        !sim_.faults_.offline(FaultLayer::kIo, r.io, now);
-    if (level == CacheLevel::kIo && cfg.io_cache_enabled && io_online) {
-      r.route = Route::kKarmaIo;
-      queue_.push(now + front, EventKind::kIoArrive, thread);
-      return;
-    }
-    if (level == CacheLevel::kIo && cfg.io_cache_enabled && !io_online) {
-      ++result_.faults.io.bypasses;
-    }
-    if (level == CacheLevel::kStorage && cfg.storage_cache_enabled) {
-      if (!sim_.faults_.enabled() ||
-          !sim_.faults_.offline(FaultLayer::kStorage, r.node, now)) {
-        r.route = Route::kKarmaStorage;
-        queue_.push(now + front + sim_.network_.io_storage_hop(),
-                    EventKind::kStorageArrive, thread);
-        return;
-      }
-      ++result_.faults.storage.bypasses;
-    }
-    r.route = Route::kKarmaDirect;
+  if (r.route == Route::kIo || r.route == Route::kKarmaIo) {
+    queue_.push(now + front, EventKind::kIoArrive, thread);
+  } else {
     queue_.push(now + front + sim_.network_.io_storage_hop(),
                 EventKind::kStorageArrive, thread);
-    return;
   }
-
-  const bool io_online =
-      !sim_.faults_.enabled() ||
-      !sim_.faults_.offline(FaultLayer::kIo, r.io, now);
-  if (cfg.io_cache_enabled && io_online) {
-    r.route = Route::kIo;
-    queue_.push(now + front, EventKind::kIoArrive, thread);
-    return;
-  }
-  if (cfg.io_cache_enabled && !io_online) ++result_.faults.io.bypasses;
-  r.route = Route::kDirect;
-  queue_.push(now + front + sim_.network_.io_storage_hop(),
-              EventKind::kStorageArrive, thread);
 }
 
 void EventEngine::arrive_io(std::uint32_t thread, double now) {
-  Request& r = req_[thread];
-  if (io_busy_[r.io]) {
-    r.arrival = now;
-    io_wait_[r.io].push_back(thread);
-    note_wait(result_.queue.io, io_wait_[r.io].size());
-    if (io_depth_gauge_) {
-      io_depth_gauge_->set(
-          static_cast<std::int64_t>(io_wait_[r.io].size()));
-    }
-    return;
+  if (admit(io_[req_[thread].io], result_.queue.io, io_depth_gauge_, thread,
+            now)) {
+    serve_io(thread, now);
   }
-  serve_io(thread, now);
 }
 
 void EventEngine::serve_io(std::uint32_t thread, double now) {
   Request& r = req_[thread];
-  const auto& cfg = sim_.topology_.config();
-  ++result_.io.lookups;
-  if (sim_.io_caches_[r.io].touch(r.key)) {
-    ++result_.io.hits;
-    // KARMA hits complete without dirty marking (mirrors the clock path).
-    if (r.route == Route::kIo && r.is_write) sim_.mark_io_dirty(r.io, r.key);
-    io_busy_[r.io] = 1;
-    queue_.push(now + cfg.latency.io_cache_hit, EventKind::kIoDone, thread);
+  if (sim_.io_lookup(r, result_)) {
+    io_[r.io].busy = true;
+    queue_.push(now + sim_.topology_.config().latency.io_cache_hit,
+                EventKind::kIoDone, thread);
     return;
   }
   // Miss: the cache server does no work; forward down the hierarchy.
@@ -203,19 +141,10 @@ void EventEngine::serve_io(std::uint32_t thread, double now) {
 }
 
 void EventEngine::io_done(std::uint32_t thread, double now) {
-  const NodeId io = req_[thread].io;
-  io_busy_[io] = 0;
-  // Drain waiters in FIFO order; a hit re-occupies the server and stops the
-  // drain, a miss forwards onward and keeps draining.
-  while (!io_busy_[io] && !io_wait_[io].empty()) {
-    const std::uint32_t w = io_wait_[io].front();
-    io_wait_[io].pop_front();
-    charge_wait(result_.queue.io, now - req_[w].arrival);
-    if (io_depth_gauge_) {
-      io_depth_gauge_->set(static_cast<std::int64_t>(io_wait_[io].size()));
-    }
-    // The drained waiter's lookups/hits belong to its own tenant.
-    sim_.tenant_switch(w, result_);
+  Server& server = io_[req_[thread].io];
+  server.busy = false;
+  std::uint32_t w = 0;
+  while (next_waiter(server, result_.queue.io, io_depth_gauge_, now, w)) {
     serve_io(w, now);
   }
   complete(thread, now);
@@ -223,116 +152,48 @@ void EventEngine::io_done(std::uint32_t thread, double now) {
 
 void EventEngine::arrive_storage(std::uint32_t thread, double now) {
   Request& r = req_[thread];
-  const auto& cfg = sim_.topology_.config();
-  switch (r.route) {
-    case Route::kKarmaIo:
-    case Route::kKarmaDirect:
-      // KARMA bypasses the storage cache for these ranges entirely.
-      enqueue_disk(thread, now);
+  if (!r.faults_resolved) {
+    r.faults_resolved = true;
+    double delay = 0;
+    sim_.storage_faults(r, delay, result_);
+    if (delay > 0) {
+      // Wait out the retries, then re-arrive.
+      queue_.push(now + delay, EventKind::kStorageArrive, thread);
       return;
-    case Route::kKarmaStorage:
-      break;  // straight to the server queue; outage was checked at issue
-    case Route::kIo:
-    case Route::kDirect:
-      if (!r.faults_resolved) {
-        r.faults_resolved = true;
-        if (cfg.storage_cache_enabled && sim_.faults_.enabled()) {
-          // Outages and exhausted fabric-retry budgets bypass the storage
-          // cache for this request. Outage windows are resolved against the
-          // request's issue time, exactly as the clock core does.
-          if (sim_.faults_.offline(FaultLayer::kStorage, r.node, r.issue)) {
-            r.bypass = true;
-            ++result_.faults.storage.bypasses;
-          } else {
-            double delay = 0;
-            std::uint32_t attempt = 0;
-            while (sim_.faults_.storage_read_fails()) {
-              ++result_.faults.storage.transient_failures;
-              if (attempt >= sim_.faults_.config().max_retries) {
-                ++result_.faults.exhausted_retries;
-                ++result_.faults.storage.bypasses;
-                r.bypass = true;
-                break;
-              }
-              const double d = sim_.faults_.backoff(attempt++);
-              delay += d;
-              result_.faults.storage.degraded_time += d;
-            }
-            if (delay > 0) {
-              // Wait out the retries, then re-arrive.
-              queue_.push(now + delay, EventKind::kStorageArrive, thread);
-              return;
-            }
-          }
-        }
-      }
-      if (!cfg.storage_cache_enabled || r.bypass) {
-        enqueue_disk(thread, now);
-        return;
-      }
-      break;
-  }
-  if (storage_busy_[r.node]) {
-    r.arrival = now;
-    storage_wait_[r.node].push_back(thread);
-    note_wait(result_.queue.storage, storage_wait_[r.node].size());
-    if (storage_depth_gauge_) {
-      storage_depth_gauge_->set(
-          static_cast<std::int64_t>(storage_wait_[r.node].size()));
     }
+  }
+  if (r.bypass) {
+    enqueue_disk(thread, now);
     return;
   }
-  serve_storage(thread, now);
+  if (admit(storage_[r.node], result_.queue.storage, storage_depth_gauge_,
+            thread, now)) {
+    serve_storage(thread, now);
+  }
 }
 
 void EventEngine::serve_storage(std::uint32_t thread, double now) {
-  Request& r = req_[thread];
-  const auto& cfg = sim_.topology_.config();
-  ++result_.storage.lookups;
-  // KARMA manages its pinned storage ranges with a plain LRU container,
-  // not the policy-dispatched storage_touch (mirrors the clock path).
-  const bool hit = r.route == Route::kKarmaStorage
-                       ? sim_.storage_caches_[r.node].touch(r.key)
-                       : sim_.storage_touch(r.node, r.key);
-  if (hit) {
-    ++result_.storage.hits;
-    storage_busy_[r.node] = 1;
-    queue_.push(now + cfg.latency.storage_cache_hit, EventKind::kStorageDone,
-                thread);
+  const Request& r = req_[thread];
+  if (sim_.storage_lookup(r, result_)) {
+    storage_[r.node].busy = true;
+    queue_.push(now + sim_.topology_.config().latency.storage_cache_hit,
+                EventKind::kStorageDone, thread);
     return;
   }
   enqueue_disk(thread, now);
 }
 
 void EventEngine::storage_done(std::uint32_t thread, double now) {
-  Request& r = req_[thread];
-  if (r.route != Route::kKarmaStorage) {
-    // A hit on a staged block continues the stream: keep the detector and
-    // the readahead window moving.
-    sim_.after_storage_hit(r.key, r.node, result_);
-    if (sim_.policy_ == PolicyKind::kDemoteLru) {
-      sim_.storage_erase(r.node, r.key);
-    }
-  }
-  const NodeId node = r.node;
-  storage_busy_[node] = 0;
-  while (!storage_busy_[node] && !storage_wait_[node].empty()) {
-    const std::uint32_t w = storage_wait_[node].front();
-    storage_wait_[node].pop_front();
-    charge_wait(result_.queue.storage, now - req_[w].arrival);
-    if (storage_depth_gauge_) {
-      storage_depth_gauge_->set(
-          static_cast<std::int64_t>(storage_wait_[node].size()));
-    }
-    // The drained waiter's lookups/hits belong to its own tenant.
-    sim_.tenant_switch(w, result_);
+  const Request& r = req_[thread];
+  sim_.storage_hit_done(r, result_);
+  Server& server = storage_[r.node];
+  server.busy = false;
+  std::uint32_t w = 0;
+  while (next_waiter(server, result_.queue.storage, storage_depth_gauge_, now,
+                     w)) {
     serve_storage(w, now);
   }
-  if (r.route == Route::kIo) {
-    fill_io_and_complete(thread, now);
-  } else {
-    complete(thread, now);
-  }
+  finish(thread, now);
 }
 
 void EventEngine::enqueue_disk(std::uint32_t thread, double now) {
@@ -344,14 +205,13 @@ void EventEngine::enqueue_disk(std::uint32_t thread, double now) {
   }
   r.arrival = now;
   d.sched.push(r.lba, thread, now, sim_.qos_priority_of_thread(thread));
-  note_wait(result_.queue.disk, d.sched.size());
-  if (disk_depth_gauge_) {
-    disk_depth_gauge_->set(static_cast<std::int64_t>(d.sched.size()));
-  }
+  result_.queue.disk.max_depth =
+      std::max<std::uint64_t>(result_.queue.disk.max_depth, d.sched.size());
+  note_depth(disk_depth_gauge_, d.sched.size());
 }
 
 void EventEngine::dispatch_disk(std::uint32_t thread, double now) {
-  Request& r = req_[thread];
+  const Request& r = req_[thread];
   DiskState& d = disk_[r.node];
   // An in-progress readahead transfer holds the disk: the demand read
   // waits for the staging frontier (charged as disk queueing).
@@ -368,44 +228,15 @@ void EventEngine::dispatch_disk(std::uint32_t thread, double now) {
 }
 
 void EventEngine::disk_done(std::uint32_t thread, double now) {
-  Request& r = req_[thread];
+  const Request& r = req_[thread];
   DiskState& d = disk_[r.node];
-  const auto& cfg = sim_.topology_.config();
-  ++result_.disk_reads;
   // Asynchronous readahead: staged blocks stream under the already-
   // positioned head while the requester departs, so staging is free for
   // the requester (it overlaps with its compute) — but the transfer
   // occupies the disk, pushing the staging frontier (free_at) forward.
   // Whoever needs this disk next pays the remainder as queueing delay.
   const std::uint64_t staged_before = result_.prefetches;
-  switch (r.route) {
-    case Route::kIo:
-    case Route::kDirect:
-      if (cfg.storage_cache_enabled && !r.bypass &&
-          (sim_.policy_ == PolicyKind::kLruInclusive ||
-           sim_.policy_ == PolicyKind::kMqInclusive)) {
-        sim_.storage_insert(r.node, r.key, result_);
-      }
-      sim_.after_disk_read(r.key, r.node, r.lba, result_,
-                           /*staging_allowed=*/!r.bypass);
-      break;
-    case Route::kKarmaIo:
-      sim_.io_insert(r.io, r.key, result_);
-      sim_.last_lba_[r.node] = r.lba;  // keep the stream detector coherent
-      break;
-    case Route::kKarmaStorage: {
-      LruCache& cache = sim_.storage_caches_[r.node];
-      if (cache.insert(r.key)) ++result_.storage.evictions;
-      ++result_.storage.fills;
-      result_.storage.bytes_filled += cfg.block_size;
-      sim_.after_disk_read(r.key, r.node, r.lba, result_,
-                           /*staging_allowed=*/true);
-      break;
-    }
-    case Route::kKarmaDirect:
-      sim_.last_lba_[r.node] = r.lba;
-      break;
-  }
+  sim_.disk_read_done(r, result_);
   const std::uint64_t staged = result_.prefetches - staged_before;
   if (staged > 0) {
     d.free_at = now + static_cast<double>(staged) *
@@ -417,39 +248,21 @@ void EventEngine::disk_done(std::uint32_t thread, double now) {
   if (!d.sched.empty()) {
     const std::uint32_t w = d.sched.pop(sim_.disks_.head(r.node));
     charge_wait(result_.queue.disk, now - req_[w].arrival);
-    if (disk_depth_gauge_) {
-      disk_depth_gauge_->set(static_cast<std::int64_t>(d.sched.size()));
-    }
+    note_depth(disk_depth_gauge_, d.sched.size());
     dispatch_disk(w, now);
   }
-  if (r.route == Route::kIo) {
-    fill_io_and_complete(thread, now);
-  } else {
-    complete(thread, now);
-  }
+  finish(thread, now);
 }
 
-void EventEngine::fill_io_and_complete(std::uint32_t thread, double now) {
-  // A drain loop in the caller may have switched attribution to a waiter;
-  // the fill below belongs to the completing request's tenant.
-  sim_.tenant_switch(thread, result_);
-  Request& r = req_[thread];
-  const auto& cfg = sim_.topology_.config();
-  double t = now;
-  std::optional<BlockKey> victim;
-  sim_.io_insert(r.io, r.key, result_, &victim);
-  if (r.is_write) sim_.mark_io_dirty(r.io, r.key);
-  if (victim) {
-    if (cfg.model_writes) t += sim_.on_io_eviction(r.io, *victim, result_);
-    if (sim_.policy_ == PolicyKind::kDemoteLru) {
-      // Ship the evicted block down instead of dropping it (Wong & Wilkes).
-      sim_.storage_insert(sim_.striping_.storage_node_of(*victim), *victim,
-                          result_);
-      t += sim_.network_.demotion();
-      ++result_.demotions;
-    }
+void EventEngine::finish(std::uint32_t thread, double now) {
+  const Request& r = req_[thread];
+  if (r.route == Route::kIo) {
+    // A drain loop in the caller may have switched attribution to a
+    // waiter; the fill belongs to the completing request's tenant.
+    sim_.tenant_switch(thread, result_);
+    sim_.fill_io(r, now, result_);
   }
-  complete(thread, t);
+  complete(thread, now);
 }
 
 void EventEngine::complete(std::uint32_t thread, double now) {
@@ -469,10 +282,8 @@ SimulationResult EventEngine::run(const TraceSource& source) {
   clock_.assign(threads, 0.0);
   busy_.assign(threads, 0.0);
   req_.assign(threads, Request{});
-  io_wait_.assign(cfg.io_nodes, {});
-  io_busy_.assign(cfg.io_nodes, 0);
-  storage_wait_.assign(cfg.storage_nodes, {});
-  storage_busy_.assign(cfg.storage_nodes, 0);
+  io_.assign(cfg.io_nodes, Server{});
+  storage_.assign(cfg.storage_nodes, Server{});
   disk_.assign(cfg.storage_nodes, DiskState{});
   // Disk scheduling policy: QosConfig selects it; disabled QoS keeps the
   // default-constructed LOOK scheduler (bit-identical to the PR 6 inline

@@ -12,14 +12,17 @@
 // the transfer occupies the disk, so contending demand reads pay for it as
 // queueing delay.
 //
-// The engine is a friend of HierarchySimulator and mutates the *same*
-// cache/disk/fault state through the same primitives, which is what makes
-// the equivalence envelope (DESIGN.md §4g) hold by construction: with one
-// thread, prefetch off and faults off, no server ever queues, the stage
-// sequence per block collapses to the clock core's mutation order, and all
-// integer per-layer stats are bit-identical (times differ only by how the
-// stage sums associate, bounded by ulps — the event-vs-clock fuzz oracle
-// pins both properties).
+// The engine makes no policy decision and touches no cache. It is a friend
+// of HierarchySimulator and calls the clock core's own request-path hops
+// (begin_request, io_lookup, storage_faults, storage_lookup,
+// storage_hit_done, disk_read_done, fill_io) at its event boundaries; what
+// it adds is queueing: one FIFO server per I/O and storage node, the disk
+// schedulers, and the readahead frontier. That is what makes the
+// equivalence envelope (DESIGN.md §4g) hold by construction: with one
+// thread, prefetch off and faults off, no server ever queues, the hops run
+// in the clock core's order, and all integer per-layer stats are
+// bit-identical (times differ only by how the stage sums associate,
+// bounded by ulps — the event-vs-clock fuzz oracle pins both properties).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +31,7 @@
 
 #include "storage/disk_sched.hpp"
 #include "storage/event_queue.hpp"
-#include "storage/lru_cache.hpp"
+#include "storage/simulator.hpp"
 #include "storage/stats.hpp"
 #include "storage/topology.hpp"
 #include "storage/trace_source.hpp"
@@ -38,8 +41,6 @@ class Gauge;
 }
 
 namespace flo::storage {
-
-class HierarchySimulator;
 
 class EventEngine {
  public:
@@ -51,30 +52,14 @@ class EventEngine {
   SimulationResult run(const TraceSource& source);
 
  private:
-  /// Which path a request takes through the hierarchy, fixed at issue time
-  /// (mirrors the branch structure of HierarchySimulator::service).
-  enum class Route : std::uint8_t {
-    kIo,            ///< LRU/DEMOTE flow through the I/O cache
-    kDirect,        ///< I/O cache disabled or offline: storage level only
-    kKarmaIo,       ///< KARMA range pinned at the I/O level
-    kKarmaStorage,  ///< KARMA range pinned at the storage level
-    kKarmaDirect,   ///< KARMA uncached range (or pinned cache offline)
-  };
+  using Request = HierarchySimulator::Request;
+  using Route = HierarchySimulator::Route;
 
-  /// One in-flight block request. Threads are synchronous (one outstanding
-  /// request each), so the pool is indexed by thread id.
-  struct Request {
-    BlockKey key;
-    std::uint64_t elements = 0;
-    bool is_write = false;
-    Route route = Route::kIo;
-    NodeId io = 0;            ///< serving I/O node
-    NodeId node = 0;          ///< serving storage node (== disk id)
-    std::uint64_t lba = 0;
-    bool bypass = false;      ///< storage cache bypassed (outage/retries)
-    bool faults_resolved = false;  ///< storage-arrival fault logic done
-    double issue = 0;         ///< issue time (busy accounting, outage clock)
-    double arrival = 0;       ///< arrival time at the queue it waits in
+  /// FIFO cache server of one I/O or storage node: a hit occupies it for
+  /// the hit latency, a miss passes through.
+  struct Server {
+    std::deque<std::uint32_t> wait;  ///< queued threads, arrival order
+    bool busy = false;
   };
 
   /// Per-disk service queue. The queue + sweep state lives in the
@@ -107,12 +92,22 @@ class EventEngine {
   void enqueue_disk(std::uint32_t thread, double now);
   void dispatch_disk(std::uint32_t thread, double now);
   void disk_done(std::uint32_t thread, double now);
-  /// I/O-cache fill + victim handling (write-back, DEMOTE) for a request
-  /// that missed at the I/O level, then thread completion.
-  void fill_io_and_complete(std::uint32_t thread, double now);
+  /// A request leaves the hierarchy: a kIo request first takes its I/O
+  /// fill (charged to its completion time), then the thread completes.
+  void finish(std::uint32_t thread, double now);
   void complete(std::uint32_t thread, double now);
 
-  void note_wait(QueueLayerStats& layer, std::size_t depth_after_push);
+  /// Returns true when `server` is free to serve `thread` now; otherwise
+  /// queues it (FIFO) and returns false.
+  bool admit(Server& server, QueueLayerStats& layer, obs::Gauge* gauge,
+             std::uint32_t thread, double now);
+  /// While `server` is free, pops its next waiter into `thread`, charges
+  /// the wait and switches attribution to the waiter's tenant. A hit
+  /// re-occupies the server and ends the drain; a miss passes on.
+  bool next_waiter(Server& server, QueueLayerStats& layer, obs::Gauge* gauge,
+                   double now, std::uint32_t& thread);
+
+  void note_depth(obs::Gauge* gauge, std::size_t depth);
   void charge_wait(QueueLayerStats& layer, double waited);
 
   HierarchySimulator& sim_;
@@ -123,10 +118,8 @@ class EventEngine {
   std::vector<double> clock_;    ///< per-thread completion clocks
   std::vector<double> busy_;     ///< per-thread busy time
 
-  std::vector<std::deque<std::uint32_t>> io_wait_;
-  std::vector<char> io_busy_;
-  std::vector<std::deque<std::uint32_t>> storage_wait_;
-  std::vector<char> storage_busy_;
+  std::vector<Server> io_;       ///< one per I/O node
+  std::vector<Server> storage_;  ///< one per storage node
   std::vector<DiskState> disk_;
 
   /// Queue-depth gauges (null when obs is disabled): last-writer-wins

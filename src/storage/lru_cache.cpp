@@ -102,14 +102,6 @@ bool LruCache::touch(BlockKey key) {
   return true;
 }
 
-std::uint32_t LruCache::resident_run(BlockKey key,
-                                     std::uint32_t max_blocks) const {
-  const std::uint64_t base = key.packed();
-  std::uint32_t n = 0;
-  while (n < max_blocks && find(base + n) != kNil) ++n;
-  return n;
-}
-
 std::uint32_t LruCache::touch_run(BlockKey key, std::uint32_t max_blocks) {
   const std::uint64_t base = key.packed();
   std::uint32_t n = 0;

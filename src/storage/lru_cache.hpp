@@ -51,12 +51,6 @@ class LruCache {
   /// If resident, promotes to MRU and returns true.
   bool touch(BlockKey key);
 
-  /// Longest resident prefix of the run [key, key + max_blocks): stops at
-  /// the first non-resident block. Does NOT update recency — the extent
-  /// fast path probes first so it can bound a run by the scheduler budget
-  /// before committing any recency changes.
-  std::uint32_t resident_run(BlockKey key, std::uint32_t max_blocks) const;
-
   /// Promotes blocks key, key+1, ..., key+n-1 to MRU exactly as n
   /// successive touch() calls would (final recency order: key+n-1 most
   /// recent), stopping at the first non-resident block; returns the number

@@ -15,16 +15,4 @@ NetworkModel::NetworkModel(const LatencyModel& latency,
   demotion_ = latency.demotion_cost + wire;
 }
 
-double NetworkModel::compute_io_run(std::uint32_t run_blocks) const {
-  double total = 0;
-  for (std::uint32_t i = 0; i < run_blocks; ++i) total += compute_io_;
-  return total;
-}
-
-double NetworkModel::io_storage_run(std::uint32_t run_blocks) const {
-  double total = 0;
-  for (std::uint32_t i = 0; i < run_blocks; ++i) total += io_storage_;
-  return total;
-}
-
 }  // namespace flo::storage

@@ -23,15 +23,6 @@ class NetworkModel {
   /// Cost of demoting one block from an I/O cache to a storage cache.
   double demotion() const { return demotion_; }
 
-  /// Cost of carrying a sequential run of `run_blocks` blocks over the
-  /// compute <-> I/O link: one hop per block (the link model has no
-  /// pipelining), accumulated exactly as run_blocks single-hop charges so
-  /// extent and per-block accounting agree bitwise.
-  double compute_io_run(std::uint32_t run_blocks) const;
-
-  /// Same for the I/O <-> storage link.
-  double io_storage_run(std::uint32_t run_blocks) const;
-
  private:
   double compute_io_ = 0;
   double io_storage_ = 0;

@@ -10,8 +10,6 @@ const char* policy_name(PolicyKind kind) {
       return "DEMOTE-LRU";
     case PolicyKind::kKarma:
       return "KARMA";
-    case PolicyKind::kMqInclusive:
-      return "MQ (storage level)";
   }
   return "?";
 }

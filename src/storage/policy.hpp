@@ -15,9 +15,6 @@ enum class PolicyKind {
   /// Yadgar et al. [47]: exclusive caching driven by application hints that
   /// classify blocks into disjoint range sets placed at exactly one level.
   kKarma,
-  /// Zhou et al. [50]: inclusive hierarchy with the Multi-Queue algorithm
-  /// at the storage (second) level, plain LRU at the I/O level.
-  kMqInclusive,
 };
 
 const char* policy_name(PolicyKind kind);

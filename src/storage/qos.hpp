@@ -7,7 +7,7 @@
 //
 //   * weighted shared-cache partitioning — per-tenant block quotas derived
 //     from `shares` carve every I/O and storage cache into per-tenant
-//     LRU/MQ partitions (lru_cache.hpp / mq_cache.hpp `set_partitions`),
+//     LRU partitions (lru_cache.hpp `set_partitions`),
 //     optionally rebalanced at runtime by observed miss pressure
 //     (`dynamic_shares`, a KARMA-style marginal-gain reassignment of the
 //     slack above each tenant's guaranteed floor);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -40,9 +39,6 @@ HierarchySimulator::HierarchySimulator(StorageTopology topology,
   storage_caches_.reserve(cfg.storage_nodes);
   for (std::size_t i = 0; i < cfg.storage_nodes; ++i) {
     storage_caches_.emplace_back(topology_.storage_cache_blocks());
-    if (policy_ == PolicyKind::kMqInclusive) {
-      storage_mq_.emplace_back(topology_.storage_cache_blocks());
-    }
   }
   io_dirty_.resize(cfg.io_nodes);
   storage_dirty_.resize(cfg.storage_nodes);
@@ -72,30 +68,17 @@ double HierarchySimulator::on_io_eviction(NodeId io, BlockKey victim,
   return t;
 }
 
-
-
-bool HierarchySimulator::storage_touch(NodeId node, BlockKey key) {
-  // qos_owner() is 0 when partitioning is off, which is the MQ touch
-  // default — the unpartitioned path is untouched.
-  return policy_ == PolicyKind::kMqInclusive
-             ? storage_mq_[node].touch(key, qos_owner())
-             : storage_caches_[node].touch(key);
-}
-
 void HierarchySimulator::storage_insert(NodeId node, BlockKey key,
                                         SimulationResult& result) {
+  LruCache& cache = storage_caches_[node];
   std::optional<BlockKey> victim;
   if (qos_partitioning_) {
-    const std::uint32_t owner = qos_owner();
-    const bool was_resident = storage_contains(node, key);
-    victim = policy_ == PolicyKind::kMqInclusive
-                 ? storage_mq_[node].insert(key, owner)
-                 : storage_caches_[node].insert(key, owner);
-    qos_note_storage_insert(was_resident, victim.has_value(), result);
+    const bool was_resident = cache.contains(key);
+    victim = cache.insert(key, qos_owner());
+    qos_note_insert(was_resident, victim.has_value(),
+                    &TenantStats::storage_evictions, result);
   } else {
-    victim = policy_ == PolicyKind::kMqInclusive
-                 ? storage_mq_[node].insert(key)
-                 : storage_caches_[node].insert(key);
+    victim = cache.insert(key);
   }
   ++result.storage.fills;
   result.storage.bytes_filled += topology_.config().block_size;
@@ -114,49 +97,46 @@ void HierarchySimulator::storage_insert(NodeId node, BlockKey key,
   }
 }
 
-void HierarchySimulator::io_insert(NodeId io, BlockKey key,
-                                   SimulationResult& result,
-                                   std::optional<BlockKey>* victim_out) {
+std::optional<BlockKey> HierarchySimulator::io_insert(
+    NodeId io, BlockKey key, SimulationResult& result) {
+  LruCache& cache = io_caches_[io];
   std::optional<BlockKey> victim;
   if (qos_partitioning_) {
-    const bool was_resident = io_caches_[io].contains(key);
-    victim = io_caches_[io].insert(key, qos_owner());
-    qos_note_io_insert(io, was_resident, victim.has_value(), result);
+    const bool was_resident = cache.contains(key);
+    victim = cache.insert(key, qos_owner());
+    qos_note_insert(was_resident, victim.has_value(),
+                    &TenantStats::io_evictions, result);
   } else {
-    victim = io_caches_[io].insert(key);
+    victim = cache.insert(key);
   }
   ++result.io.fills;
   result.io.bytes_filled += topology_.config().block_size;
   if (victim) ++result.io.evictions;
-  if (victim_out) *victim_out = victim;
+  return victim;
 }
 
 bool HierarchySimulator::storage_erase(NodeId node, BlockKey key) {
   if (qos_partitioning_) {
     // DEMOTE's exclusive erase frees the owning tenant's quota charge.
     const std::optional<std::uint32_t> owner =
-        policy_ == PolicyKind::kMqInclusive
-            ? storage_mq_[node].owner_of(key)
-            : storage_caches_[node].owner_of(key);
+        storage_caches_[node].owner_of(key);
     if (owner && *owner < qos_occ_.size() && qos_occ_[*owner] > 0) {
       --qos_occ_[*owner];
     }
   }
-  return policy_ == PolicyKind::kMqInclusive
-             ? storage_mq_[node].erase(key)
-             : storage_caches_[node].erase(key);
+  return storage_caches_[node].erase(key);
 }
 
-bool HierarchySimulator::storage_contains(NodeId node, BlockKey key) const {
-  return policy_ == PolicyKind::kMqInclusive
-             ? storage_mq_[node].contains(key)
-             : storage_caches_[node].contains(key);
-}
-
-void HierarchySimulator::after_storage_hit(BlockKey key, NodeId node,
-                                           SimulationResult& result) {
+void HierarchySimulator::advance_stream(BlockKey key, NodeId node,
+                                        bool staging_allowed,
+                                        SimulationResult& result) {
   const auto& cfg = topology_.config();
-  if (cfg.prefetch_depth == 0) return;
+  // Without readahead into a storage cache the detector can never stage a
+  // block, so it is not kept at all.
+  if (cfg.prefetch_depth == 0 || !cfg.storage_cache_enabled) return;
+  // Stream detection per (node, file): the previous block of this file on
+  // this node must be the preceding local stripe. This survives other
+  // threads' interleaved traffic, like a real per-file readahead window.
   const std::uint64_t stream_key =
       (static_cast<std::uint64_t>(node) << 40) | key.file;
   const auto it = stream_pos_.find(stream_key);
@@ -164,7 +144,10 @@ void HierarchySimulator::after_storage_hit(BlockKey key, NodeId node,
       it != stream_pos_.end() &&
       key.block == it->second + cfg.storage_nodes;
   stream_pos_[stream_key] = key.block;
-  if (!sequential) return;
+  if (!sequential || !staging_allowed) return;
+  // Readahead: stage the next local stripes of this file (they live on the
+  // same disk, `storage_nodes` file blocks apart). The staging transfer
+  // overlaps with the stream, so no latency is charged to the requester.
   std::uint64_t staged_to = 0;
   bool staged = false;
   for (std::uint32_t d = 1; d <= cfg.prefetch_depth; ++d) {
@@ -174,15 +157,13 @@ void HierarchySimulator::after_storage_hit(BlockKey key, NodeId node,
     const BlockKey ahead{key.file, next};
     staged_to = striping_.lba_of(ahead);
     staged = true;
-    if (!storage_contains(node, ahead)) {
+    if (!storage_caches_[node].contains(ahead)) {
       storage_insert(node, ahead, result);
       ++result.prefetches;
     }
   }
-  if (staged) {
-    disks_.advance_head(node, staged_to);
-    last_lba_[node] = staged_to;
-  }
+  // Staging streams the blocks under the already-positioned head.
+  if (staged) disks_.advance_head(node, staged_to);
 }
 
 double HierarchySimulator::disk_read(NodeId node, std::uint64_t lba,
@@ -217,109 +198,184 @@ double HierarchySimulator::disk_read(NodeId node, std::uint64_t lba,
   return t + svc;
 }
 
-void HierarchySimulator::after_disk_read(BlockKey key, NodeId node,
-                                         std::uint64_t lba,
-                                         SimulationResult& result,
-                                         bool staging_allowed) {
-  const auto& cfg = topology_.config();
-  // Stream detection per (node, file): the previous block of this file on
-  // this node must be the preceding local stripe. This survives other
-  // threads' interleaved traffic, like a real per-file readahead window.
-  const std::uint64_t stream_key =
-      (static_cast<std::uint64_t>(node) << 40) | key.file;
-  const auto it = stream_pos_.find(stream_key);
-  const bool sequential =
-      it != stream_pos_.end() &&
-      key.block == it->second + cfg.storage_nodes;
-  stream_pos_[stream_key] = key.block;
-  last_lba_[node] = lba;
-  if (!sequential || cfg.prefetch_depth == 0 || !cfg.storage_cache_enabled ||
-      !staging_allowed) {
-    return;
-  }
-  // Readahead: stage the next local stripes of this file (they live on the
-  // same disk, `storage_nodes` file blocks apart). The staging transfer
-  // overlaps with the stream, so no latency is charged to the requester.
-  std::uint64_t staged_to = lba;
-  for (std::uint32_t d = 1; d <= cfg.prefetch_depth; ++d) {
-    const std::uint64_t next =
-        key.block + static_cast<std::uint64_t>(d) * cfg.storage_nodes;
-    if (next >= striping_.file_blocks(key.file)) break;
-    const BlockKey ahead{key.file, next};
-    staged_to = striping_.lba_of(ahead);
-    if (!storage_contains(node, ahead)) {
-      storage_insert(node, ahead, result);
-      ++result.prefetches;
-    }
-  }
-  // Staging streams the blocks under the already-positioned head; remember
-  // the staged frontier so the stream keeps extending through the hits.
-  if (staged_to != lba) {
-    disks_.advance_head(node, staged_to);
-    last_lba_[node] = staged_to;
+void HierarchySimulator::settle_stream(FileId file, std::uint64_t first,
+                                       std::uint64_t len) {
+  // Round-robin striping: block first + k lands on disk (first + k) %
+  // cycle, so each disk serves every cycle-th block of the run.
+  const std::uint32_t cycle =
+      static_cast<std::uint32_t>(striping_.storage_nodes());
+  const std::uint64_t full = len / cycle;
+  const std::uint64_t rem = len % cycle;
+  const std::uint32_t phase = static_cast<std::uint32_t>(first % cycle);
+  for (std::uint32_t d = 0; d < cycle; ++d) {
+    const std::uint32_t offset = (d + cycle - phase) % cycle;
+    const std::uint64_t count = full + (offset < rem ? 1u : 0u);
+    if (count == 0) continue;
+    const std::uint64_t last = first + offset + (count - 1) * cycle;
+    disks_.note_sequential_reads(static_cast<NodeId>(d),
+                                 striping_.lba_of({file, last}), count);
   }
 }
 
-double HierarchySimulator::storage_level(BlockKey key, double now,
+double HierarchySimulator::begin_request(std::uint32_t thread, double now,
+                                         const AccessEvent& event, Request& r,
                                          SimulationResult& result) {
   const auto& cfg = topology_.config();
-  const NodeId node = striping_.storage_node_of(key);
-  double t = network_.io_storage_hop();
-  // Outages and exhausted fabric-retry budgets bypass the storage cache
-  // for this request: no lookup, no fill, no readahead staging.
-  bool bypass = false;
-  if (cfg.storage_cache_enabled && faults_.enabled()) {
-    if (faults_.offline(FaultLayer::kStorage, node, now)) {
-      bypass = true;
-      ++result.faults.storage.bypasses;
-    } else {
-      // Transient storage-fabric failures: each failed attempt waits out
-      // an exponential backoff (charged to the virtual clock) and retries
-      // until the budget runs out, which falls through to disk.
-      std::uint32_t attempt = 0;
-      while (faults_.storage_read_fails()) {
-        ++result.faults.storage.transient_failures;
-        if (attempt >= faults_.config().max_retries) {
-          ++result.faults.exhausted_retries;
-          ++result.faults.storage.bypasses;
-          bypass = true;
-          break;
-        }
-        const double delay = faults_.backoff(attempt++);
-        t += delay;
-        result.faults.storage.degraded_time += delay;
-      }
-    }
+  r = Request{};
+  r.key = {event.file, event.block};
+  r.io = io_node_of_thread_[thread];
+  r.issue = now;
+  r.is_write =
+      cfg.model_writes && event.is_write && policy_ != PolicyKind::kKarma;
+  double t = cfg.latency.cpu_per_element *
+             static_cast<double>(event.element_count);
+  t += network_.compute_io_hop();
+  ++result.accesses;
+  result.elements += event.element_count;
+  if (pending_writeback_cost_ > 0) {
+    // Deferred storage-level write-backs are charged to the next request.
+    t += pending_writeback_cost_;
+    result.disk_writes += pending_writeback_count_;
+    pending_writeback_cost_ = 0;
+    pending_writeback_count_ = 0;
   }
-  if (cfg.storage_cache_enabled && !bypass) {
-    ++result.storage.lookups;
-    if (storage_touch(node, key)) {
-      ++result.storage.hits;
-      t += cfg.latency.storage_cache_hit;
-      // A hit on a staged block continues the stream: keep the detector
-      // and the readahead window moving.
-      after_storage_hit(key, node, result);
-      if (policy_ == PolicyKind::kDemoteLru) {
-        // Exclusive caching: a block read through the storage cache moves
-        // up to the client; keeping it below would duplicate it.
-        storage_erase(node, key);
-      }
+
+  const bool io_online =
+      !faults_.enabled() || !faults_.offline(FaultLayer::kIo, r.io, now);
+  if (policy_ != PolicyKind::kKarma) {
+    // LRU-inclusive and DEMOTE-LRU share the I/O-level flow.
+    r.bypass = !cfg.storage_cache_enabled;
+    if (cfg.io_cache_enabled && io_online) return t;  // Route::kIo
+    if (cfg.io_cache_enabled) ++result.faults.io.bypasses;
+    r.route = Route::kDirect;
+    r.node = striping_.storage_node_of(r.key);
+    r.lba = striping_.lba_of(r.key);
+    return t;
+  }
+  // KARMA places each range class at exactly one level (exclusive
+  // placement): the other levels are bypassed entirely.
+  const CacheLevel level = karma_.level_of(r.key);
+  r.bypass = true;
+  if (level == CacheLevel::kIo && cfg.io_cache_enabled) {
+    if (io_online) {
+      r.route = Route::kKarmaIo;
       return t;
     }
+    // The pinned I/O cache is dark: fall through straight to disk.
+    ++result.faults.io.bypasses;
   }
-  const std::uint64_t lba = striping_.lba_of(key);
-  t += disk_read(node, lba, result);
-  ++result.disk_reads;
-  if (cfg.storage_cache_enabled && !bypass &&
-      (policy_ == PolicyKind::kLruInclusive ||
-       policy_ == PolicyKind::kMqInclusive)) {
-    // Inclusive fill: the block is retained below as well as above.
-    storage_insert(node, key, result);
+  r.route = Route::kKarmaDirect;
+  r.node = striping_.storage_node_of(r.key);
+  r.lba = striping_.lba_of(r.key);
+  if (level == CacheLevel::kStorage && cfg.storage_cache_enabled) {
+    if (!faults_.enabled() ||
+        !faults_.offline(FaultLayer::kStorage, r.node, now)) {
+      r.route = Route::kKarmaStorage;
+      r.bypass = false;
+    } else {
+      ++result.faults.storage.bypasses;
+    }
   }
-  after_disk_read(key, node, lba, result, /*staging_allowed=*/!bypass);
-  // DEMOTE-LRU deliberately does NOT insert on the read path: the storage
-  // cache is populated by demotions only (plus re-reads via LRU above).
   return t;
+}
+
+bool HierarchySimulator::io_lookup(Request& r, SimulationResult& result) {
+  ++result.io.lookups;
+  if (io_caches_[r.io].touch(r.key)) {
+    ++result.io.hits;
+    if (r.is_write) mark_io_dirty(r.io, r.key);
+    return true;
+  }
+  r.node = striping_.storage_node_of(r.key);
+  r.lba = striping_.lba_of(r.key);
+  return false;
+}
+
+void HierarchySimulator::storage_faults(Request& r, double& t,
+                                        SimulationResult& result) {
+  // KARMA resolved its storage outage at issue and retries nothing.
+  if (r.bypass || r.route == Route::kKarmaStorage || !faults_.enabled()) {
+    return;
+  }
+  // Outages and exhausted fabric-retry budgets bypass the storage cache
+  // for this request: no lookup, no fill, no readahead staging. Outage
+  // windows are resolved against the request's issue time.
+  if (faults_.offline(FaultLayer::kStorage, r.node, r.issue)) {
+    r.bypass = true;
+    ++result.faults.storage.bypasses;
+    return;
+  }
+  // Transient storage-fabric failures: each failed attempt waits out an
+  // exponential backoff (charged to the virtual clock) and retries until
+  // the budget runs out, which falls through to disk.
+  std::uint32_t attempt = 0;
+  while (faults_.storage_read_fails()) {
+    ++result.faults.storage.transient_failures;
+    if (attempt >= faults_.config().max_retries) {
+      ++result.faults.exhausted_retries;
+      ++result.faults.storage.bypasses;
+      r.bypass = true;
+      return;
+    }
+    const double delay = faults_.backoff(attempt++);
+    t += delay;
+    result.faults.storage.degraded_time += delay;
+  }
+}
+
+bool HierarchySimulator::storage_lookup(const Request& r,
+                                        SimulationResult& result) {
+  ++result.storage.lookups;
+  if (!storage_caches_[r.node].touch(r.key)) return false;
+  ++result.storage.hits;
+  return true;
+}
+
+void HierarchySimulator::storage_hit_done(const Request& r,
+                                          SimulationResult& result) {
+  // KARMA's storage ranges neither stage readahead nor move up.
+  if (r.route == Route::kKarmaStorage) return;
+  // A hit on a staged block continues the stream: keep the detector and
+  // the readahead window moving.
+  advance_stream(r.key, r.node, /*staging_allowed=*/true, result);
+  if (policy_ == PolicyKind::kDemoteLru) {
+    // Exclusive caching: a block read through the storage cache moves up
+    // to the client; keeping it below would duplicate it.
+    storage_erase(r.node, r.key);
+  }
+}
+
+void HierarchySimulator::disk_read_done(const Request& r,
+                                        SimulationResult& result) {
+  ++result.disk_reads;
+  if (r.route == Route::kKarmaIo) {
+    io_insert(r.io, r.key, result);
+    return;
+  }
+  if (r.route == Route::kKarmaDirect) return;
+  // Inclusive fill: the block is retained below as well as above. DEMOTE
+  // deliberately does not fill on the read path: its storage cache is
+  // populated by demotions (and readahead) only.
+  if (!r.bypass && policy_ != PolicyKind::kDemoteLru) {
+    storage_insert(r.node, r.key, result);
+  }
+  advance_stream(r.key, r.node, /*staging_allowed=*/!r.bypass, result);
+}
+
+void HierarchySimulator::fill_io(const Request& r, double& t,
+                                 SimulationResult& result) {
+  const std::optional<BlockKey> victim = io_insert(r.io, r.key, result);
+  if (r.is_write) mark_io_dirty(r.io, r.key);
+  if (!victim) return;
+  if (topology_.config().model_writes) {
+    t += on_io_eviction(r.io, *victim, result);
+  }
+  if (policy_ == PolicyKind::kDemoteLru) {
+    // Ship the evicted block down instead of dropping it (Wong & Wilkes).
+    storage_insert(striping_.storage_node_of(*victim), *victim, result);
+    t += network_.demotion();
+    ++result.demotions;
+  }
 }
 
 std::uint32_t HierarchySimulator::service_extent_bulk(
@@ -422,20 +478,7 @@ std::uint32_t HierarchySimulator::service_extent_bulk(
         ++m;
         if (m == ev.run_blocks || !within_budget(now)) break;
       }
-      const std::uint64_t first = ev.block + start;
-      const std::uint32_t len = m - start;
-      const std::uint32_t full = len / cycle;
-      const std::uint32_t rem = len % cycle;
-      const std::uint32_t phase = static_cast<std::uint32_t>(first % cycle);
-      for (std::uint32_t d = 0; d < cycle; ++d) {
-        const std::uint32_t offset = (d + cycle - phase) % cycle;
-        const std::uint32_t count = full + (offset < rem ? 1u : 0u);
-        if (count == 0) continue;
-        const std::uint64_t last =
-            first + offset + (count - 1ull) * cycle;
-        disks_.note_sequential_reads(
-            static_cast<NodeId>(d), striping_.lba_of({ev.file, last}), count);
-      }
+      settle_stream(ev.file, ev.block + start, m - start);
     }
     result.accesses += m;
     result.elements += ev.element_count * m;
@@ -450,112 +493,36 @@ std::uint32_t HierarchySimulator::service_extent_bulk(
 double HierarchySimulator::service(std::uint32_t thread, double now,
                                    const AccessEvent& event,
                                    SimulationResult& result) {
-  const auto& cfg = topology_.config();
-  const BlockKey key{event.file, event.block};
-  double t = cfg.latency.cpu_per_element *
-             static_cast<double>(event.element_count);
-  t += network_.compute_io_hop();
-  ++result.accesses;
-  result.elements += event.element_count;
-  if (pending_writeback_cost_ > 0) {
-    // Deferred storage-level write-backs are charged to the next request.
-    t += pending_writeback_cost_;
-    result.disk_writes += pending_writeback_count_;
-    pending_writeback_cost_ = 0;
-    pending_writeback_count_ = 0;
+  const LatencyModel& latency = topology_.config().latency;
+  Request r;
+  double t = begin_request(thread, now, event, r, result);
+  if (r.route == Route::kIo || r.route == Route::kKarmaIo) {
+    if (io_lookup(r, result)) return t + latency.io_cache_hit;
   }
-
-  const NodeId io = io_node_of_thread_[thread];
-  const bool write = cfg.model_writes && event.is_write;
-
-  if (policy_ == PolicyKind::kKarma) {
-    const CacheLevel level = karma_.level_of(key);
-    const bool io_online =
-        !faults_.enabled() || !faults_.offline(FaultLayer::kIo, io, now);
-    if (level == CacheLevel::kIo && cfg.io_cache_enabled && io_online) {
-      LruCache& cache = io_caches_[io];
-      ++result.io.lookups;
-      if (cache.touch(key)) {
-        ++result.io.hits;
-        return t + cfg.latency.io_cache_hit;
-      }
-      // KARMA pins this range at the I/O level: the storage cache is
-      // bypassed entirely (exclusive placement).
-      const NodeId node = striping_.storage_node_of(key);
-      const std::uint64_t lba = striping_.lba_of(key);
-      t += network_.io_storage_hop();
-      t += disk_read(node, lba, result);
-      ++result.disk_reads;
-      io_insert(io, key, result);
-      last_lba_[node] = lba;  // keep the stream detector coherent
-      return t;
+  if (r.route == Route::kIo || r.route == Route::kDirect) {
+    // The LRU/DEMOTE storage level sums its own charges (hop, fabric
+    // retries, then the hit or the disk read) before they join `t`.
+    double below = network_.io_storage_hop();
+    storage_faults(r, below, result);
+    if (!r.bypass && storage_lookup(r, result)) {
+      below += latency.storage_cache_hit;
+      storage_hit_done(r, result);
+    } else {
+      below += disk_read(r.node, r.lba, result);
+      disk_read_done(r, result);
     }
-    if (level == CacheLevel::kIo && cfg.io_cache_enabled && !io_online) {
-      // The pinned I/O cache is dark: fall through straight to disk.
-      ++result.faults.io.bypasses;
-    }
-    if (level == CacheLevel::kStorage && cfg.storage_cache_enabled) {
-      const NodeId node = striping_.storage_node_of(key);
-      if (!faults_.enabled() ||
-          !faults_.offline(FaultLayer::kStorage, node, now)) {
-        LruCache& cache = storage_caches_[node];
-        t += network_.io_storage_hop();
-        ++result.storage.lookups;
-        if (cache.touch(key)) {
-          ++result.storage.hits;
-          return t + cfg.latency.storage_cache_hit;
-        }
-        const std::uint64_t lba = striping_.lba_of(key);
-        t += disk_read(node, lba, result);
-        ++result.disk_reads;
-        if (cache.insert(key)) ++result.storage.evictions;
-        ++result.storage.fills;
-        result.storage.bytes_filled += cfg.block_size;
-        after_disk_read(key, node, lba, result, /*staging_allowed=*/true);
-        return t;
-      }
-      ++result.faults.storage.bypasses;
-    }
-    // Uncached range class (or a range whose pinned cache is offline):
-    // straight to disk.
-    const NodeId node = striping_.storage_node_of(key);
-    const std::uint64_t lba = striping_.lba_of(key);
-    t += network_.io_storage_hop();
-    t += disk_read(node, lba, result);
-    ++result.disk_reads;
-    last_lba_[node] = lba;
+    t += below;
+    if (r.route == Route::kIo) fill_io(r, t, result);
     return t;
   }
-
-  // LRU-inclusive and DEMOTE-LRU share the I/O-level flow.
-  const bool io_online =
-      !faults_.enabled() || !faults_.offline(FaultLayer::kIo, io, now);
-  if (cfg.io_cache_enabled && io_online) {
-    LruCache& cache = io_caches_[io];
-    ++result.io.lookups;
-    if (cache.touch(key)) {
-      ++result.io.hits;
-      if (write) mark_io_dirty(io, key);
-      return t + cfg.latency.io_cache_hit;
-    }
-    t += storage_level(key, now, result);
-    std::optional<BlockKey> victim;
-    io_insert(io, key, result, &victim);
-    if (write) mark_io_dirty(io, key);
-    if (victim) {
-      if (cfg.model_writes) t += on_io_eviction(io, *victim, result);
-      if (policy_ == PolicyKind::kDemoteLru) {
-        // Ship the evicted block down instead of dropping it
-        // (Wong & Wilkes).
-        storage_insert(striping_.storage_node_of(*victim), *victim, result);
-        t += network_.demotion();
-        ++result.demotions;
-      }
-    }
-    return t;
+  // KARMA below the I/O level charges straight into `t`.
+  t += network_.io_storage_hop();
+  if (r.route == Route::kKarmaStorage && storage_lookup(r, result)) {
+    return t + latency.storage_cache_hit;
   }
-  if (cfg.io_cache_enabled && !io_online) ++result.faults.io.bypasses;
-  return t + storage_level(key, now, result);
+  t += disk_read(r.node, r.lba, result);
+  disk_read_done(r, result);
+  return t;
 }
 
 void HierarchySimulator::set_tenants(std::vector<std::uint32_t> tenant_of_thread,
@@ -643,30 +610,15 @@ std::uint32_t HierarchySimulator::qos_priority_of_thread(
   return tenant < qos.priorities.size() ? qos.priorities[tenant] : 1;
 }
 
-void HierarchySimulator::qos_note_io_insert(NodeId, bool was_resident,
-                                            bool evicted,
-                                            SimulationResult& result) {
+void HierarchySimulator::qos_note_insert(
+    bool was_resident, bool evicted, std::uint64_t TenantStats::*evictions,
+    SimulationResult& result) {
   const std::uint32_t owner = tenant_scope_.tenant;
   if (evicted) {
     // The victim came from the owner's own partition, so net occupancy is
     // unchanged and the eviction is the owner's — that is the attribution
     // guarantee partitioning buys.
-    if (owner < result.tenants.size()) ++result.tenants[owner].io_evictions;
-  } else if (!was_resident && owner < qos_occ_.size()) {
-    if (++qos_occ_[owner] > qos_occ_peak_[owner]) {
-      qos_occ_peak_[owner] = qos_occ_[owner];
-    }
-  }
-}
-
-void HierarchySimulator::qos_note_storage_insert(bool was_resident,
-                                                 bool evicted,
-                                                 SimulationResult& result) {
-  const std::uint32_t owner = tenant_scope_.tenant;
-  if (evicted) {
-    if (owner < result.tenants.size()) {
-      ++result.tenants[owner].storage_evictions;
-    }
+    if (owner < result.tenants.size()) ++(result.tenants[owner].*evictions);
   } else if (!was_resident && owner < qos_occ_.size()) {
     if (++qos_occ_[owner] > qos_occ_peak_[owner]) {
       qos_occ_peak_[owner] = qos_occ_[owner];
@@ -684,7 +636,6 @@ void HierarchySimulator::apply_qos_partitions() {
     // change between runs on one simulator): return to global caches.
     for (auto& c : io_caches_) c.set_partitions({});
     for (auto& c : storage_caches_) c.set_partitions({});
-    for (auto& c : storage_mq_) c.set_partitions({});
     qos_io_quota_.clear();
     qos_storage_quota_.clear();
     qos_prev_misses_.clear();
@@ -703,7 +654,6 @@ void HierarchySimulator::apply_qos_partitions() {
                                        tenant_count_, qos.shares);
   for (auto& c : io_caches_) c.set_partitions(qos_io_quota_);
   for (auto& c : storage_caches_) c.set_partitions(qos_storage_quota_);
-  for (auto& c : storage_mq_) c.set_partitions(qos_storage_quota_);
   qos_prev_misses_.assign(tenant_count_, 0);
   qos_occ_.assign(tenant_count_, 0);
   qos_occ_peak_.assign(tenant_count_, 0);
@@ -791,66 +741,46 @@ void HierarchySimulator::maybe_rebalance_qos(SimulationResult& result) {
   const std::vector<std::size_t> st_quota =
       rebalanced(qos_storage_quota_, topology_.storage_cache_blocks());
 
-  // A dirty trim victim is written straight down to disk in the background
-  // (deferred to the next request, like storage-eviction write-backs): the
-  // rebalance just ruled its tenant over-provisioned, so it is not
-  // re-inserted below.
-  const auto flush_dirty = [&](std::unordered_set<std::uint64_t>& dirty,
-                               BlockKey victim) {
-    if (!cfg.model_writes || dirty.erase(victim.packed()) == 0) return;
-    ++result.writebacks;
-    const NodeId node = striping_.storage_node_of(victim);
-    const std::uint64_t lba = striping_.lba_of(victim);
-    pending_writeback_cost_ += disks_.peek_service(node, lba);
-    ++pending_writeback_count_;
-    disks_.advance_head(node, lba);
-  };
-  const auto note_trim = [&](std::uint32_t t) {
-    if (qos_occ_[t] > 0) --qos_occ_[t];
-  };
-
-  for (std::size_t i = 0; i < io_caches_.size(); ++i) {
-    LruCache& cache = io_caches_[i];
-    // Shrink before growing so the quota sum never exceeds capacity.
-    for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-      if (io_quota[t] >= cache.partition_quota(t)) continue;
-      for (BlockKey victim : cache.set_partition_quota(t, io_quota[t])) {
-        ++result.io.evictions;
-        if (t < result.tenants.size()) ++result.tenants[t].io_evictions;
-        note_trim(t);
-        flush_dirty(io_dirty_[i], victim);
-      }
-    }
-    for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-      if (io_quota[t] > cache.partition_quota(t)) {
-        cache.set_partition_quota(t, io_quota[t]);
-      }
-    }
-  }
-  const auto trim_storage = [&](NodeId node, auto& cache) {
-    for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-      if (st_quota[t] >= cache.partition_quota(t)) continue;
-      for (BlockKey victim : cache.set_partition_quota(t, st_quota[t])) {
-        ++result.storage.evictions;
-        if (t < result.tenants.size()) {
-          ++result.tenants[t].storage_evictions;
+  // Applies one layer's new quotas, shrinking before growing so the quota
+  // sum never exceeds capacity. A dirty trim victim is written straight
+  // down to disk in the background (deferred to the next request, like
+  // storage-eviction write-backs): the rebalance just ruled its tenant
+  // over-provisioned, so it is not re-inserted below.
+  const auto trim = [&](std::vector<LruCache>& caches,
+                        const std::vector<std::size_t>& quota,
+                        std::vector<std::unordered_set<std::uint64_t>>& dirty,
+                        LayerStats& layer,
+                        std::uint64_t TenantStats::*evictions) {
+    for (std::size_t i = 0; i < caches.size(); ++i) {
+      LruCache& cache = caches[i];
+      for (std::uint32_t t = 0; t < tenant_count_; ++t) {
+        if (quota[t] >= cache.partition_quota(t)) continue;
+        for (BlockKey victim : cache.set_partition_quota(t, quota[t])) {
+          ++layer.evictions;
+          if (t < result.tenants.size()) ++(result.tenants[t].*evictions);
+          if (qos_occ_[t] > 0) --qos_occ_[t];
+          if (!cfg.model_writes || dirty[i].erase(victim.packed()) == 0) {
+            continue;
+          }
+          ++result.writebacks;
+          const NodeId node = striping_.storage_node_of(victim);
+          const std::uint64_t lba = striping_.lba_of(victim);
+          pending_writeback_cost_ += disks_.peek_service(node, lba);
+          ++pending_writeback_count_;
+          disks_.advance_head(node, lba);
         }
-        note_trim(t);
-        flush_dirty(storage_dirty_[node], victim);
       }
-    }
-    for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-      if (st_quota[t] > cache.partition_quota(t)) {
-        cache.set_partition_quota(t, st_quota[t]);
+      for (std::uint32_t t = 0; t < tenant_count_; ++t) {
+        if (quota[t] > cache.partition_quota(t)) {
+          cache.set_partition_quota(t, quota[t]);
+        }
       }
     }
   };
-  for (std::size_t i = 0; i < storage_caches_.size(); ++i) {
-    trim_storage(static_cast<NodeId>(i), storage_caches_[i]);
-  }
-  for (std::size_t i = 0; i < storage_mq_.size(); ++i) {
-    trim_storage(static_cast<NodeId>(i), storage_mq_[i]);
-  }
+  trim(io_caches_, io_quota, io_dirty_, result.io,
+       &TenantStats::io_evictions);
+  trim(storage_caches_, st_quota, storage_dirty_, result.storage,
+       &TenantStats::storage_evictions);
 }
 
 void HierarchySimulator::settle_trailing_writebacks(SimulationResult& result) {
@@ -874,8 +804,6 @@ void HierarchySimulator::prepare_run(const TraceSource& source) {
   striping_ = Striping(topology_.config().storage_nodes, source.file_blocks());
   disks_ = DiskArray(topology_.config().storage_nodes,
                      topology_.config().disk, topology_.config().block_size);
-  last_lba_.assign(topology_.config().storage_nodes,
-                   std::numeric_limits<std::uint64_t>::max() - 1);
   stream_pos_.clear();
   for (auto& d : io_dirty_) d.clear();
   for (auto& d : storage_dirty_) d.clear();
@@ -883,7 +811,6 @@ void HierarchySimulator::prepare_run(const TraceSource& source) {
   pending_writeback_count_ = 0;
   for (auto& c : io_caches_) c.clear();
   for (auto& c : storage_caches_) c.clear();
-  for (auto& c : storage_mq_) c.clear();
   apply_qos_partitions();
   faults_.reset();  // replay the identical fault stream on every run
 }

@@ -22,7 +22,6 @@
 #include "storage/fault_model.hpp"
 #include "storage/karma.hpp"
 #include "storage/lru_cache.hpp"
-#include "storage/mq_cache.hpp"
 #include "storage/network_model.hpp"
 #include "storage/policy.hpp"
 #include "storage/sim_core.hpp"
@@ -33,13 +32,14 @@
 
 namespace flo::storage {
 
-/// Facade over the two simulation cores. The clock core (this class's own
-/// scheduling loop) is the golden reference: min-clock-first stepping with
-/// the extent fast paths, bit-stable since PR 1. The event core
-/// (storage/event_core.hpp) stages requests through a global discrete-event
-/// queue and adds queueing at shared components. Both cores mutate the same
-/// cache/disk/fault state through the same primitives; FLO_SIM (or
-/// set_core) selects which one run() drives.
+/// Facade over the two simulation cores, which share one request path.
+/// Every policy decision is a hop of this class (begin_request, io_lookup,
+/// storage_faults, storage_lookup, storage_hit_done, disk_read_done,
+/// fill_io) acting on one Request record. The clock core (this class's own
+/// scheduling loop, the golden reference) charges the hops inline in
+/// service(); the event core (storage/event_core.hpp) calls the same hops
+/// at its event boundaries and adds only queueing at the shared
+/// components. FLO_SIM (or set_core) selects which one run() drives.
 class HierarchySimulator {
  public:
   /// `io_node_of_thread[t]` is the I/O node serving thread t (derived from
@@ -103,7 +103,8 @@ class HierarchySimulator {
   /// Services one single-block request (`event.run_blocks` is ignored;
   /// run() splits extents before calling) issued by `thread` at virtual
   /// time `now` (the fault model needs `now` to resolve outage windows);
-  /// returns elapsed seconds. This is the golden per-block reference path.
+  /// returns elapsed seconds. This is the golden per-block reference path:
+  /// the request-path hops below, charged inline.
   double service(std::uint32_t thread, double now, const AccessEvent& event,
                  SimulationResult& result);
 
@@ -120,7 +121,66 @@ class HierarchySimulator {
                                     const ScheduleQueue& queue,
                                     SimulationResult& result);
 
-  double storage_level(BlockKey key, double now, SimulationResult& result);
+  /// Settles disk heads and read counts for the blocks [first, first +
+  /// len) of `file` after a cache-less sequential run charged them pure
+  /// transfer time: one note per disk of the stripe cycle. Shared by the
+  /// clock core's extent fast path and the event core's analytic phase.
+  void settle_stream(FileId file, std::uint64_t first, std::uint64_t len);
+
+  /// --- the request path (both cores) -----------------------------------
+  /// Which path a request takes through the hierarchy, fixed by
+  /// begin_request.
+  enum class Route : std::uint8_t {
+    kIo,            ///< LRU/DEMOTE flow through the I/O cache
+    kDirect,        ///< I/O cache disabled or offline: storage level only
+    kKarmaIo,       ///< KARMA range pinned at the I/O level
+    kKarmaStorage,  ///< KARMA range pinned at the storage level
+    kKarmaDirect,   ///< KARMA uncached range (or pinned cache offline)
+  };
+
+  /// One block request in flight.
+  struct Request {
+    BlockKey key;
+    Route route = Route::kIo;
+    bool is_write = false;  ///< modelled write (KARMA models none)
+    /// Skips the storage cache: disabled, offline, out of fabric retries,
+    /// or a KARMA range placed elsewhere.
+    bool bypass = false;
+    NodeId io = 0;          ///< serving I/O node
+    NodeId node = 0;        ///< storage node (== disk); set below the I/O level
+    std::uint64_t lba = 0;  ///< set with `node`
+    double issue = 0;       ///< issue time (outage windows, busy time)
+    /// Event core only: storage-arrival fault logic done, and the arrival
+    /// time at the queue the request waits in.
+    bool faults_resolved = false;
+    double arrival = 0;
+  };
+
+  /// First hop: counts the access, takes any deferred write-back charge,
+  /// and routes the request (KARMA range class, I/O and storage outages).
+  /// Resets `r` and returns the front charge (compute, the compute <-> I/O
+  /// hop and the write-back).
+  double begin_request(std::uint32_t thread, double now,
+                       const AccessEvent& event, Request& r,
+                       SimulationResult& result);
+  /// I/O-cache lookup (routes kIo, kKarmaIo). A hit promotes the block
+  /// and dirties it on a write; a miss locates the storage node and LBA.
+  bool io_lookup(Request& r, SimulationResult& result);
+  /// Storage-fabric faults on an LRU/DEMOTE request reaching the storage
+  /// level: an outage or an exhausted retry budget sets `r.bypass`; each
+  /// retry's backoff is added to `t`.
+  void storage_faults(Request& r, double& t, SimulationResult& result);
+  /// Storage-cache lookup of a request that does not bypass it.
+  bool storage_lookup(const Request& r, SimulationResult& result);
+  /// Storage-hit epilogue: the readahead step, then DEMOTE's exclusive
+  /// erase (the block moves up to the client).
+  void storage_hit_done(const Request& r, SimulationResult& result);
+  /// Disk-read epilogue: counts the read and applies the route's fill
+  /// (KARMA's I/O placement, or the inclusive storage fill and readahead).
+  void disk_read_done(const Request& r, SimulationResult& result);
+  /// I/O-cache fill of a kIo request that missed, then the victim's
+  /// write-back and DEMOTE demotion, each added to `t` in that order.
+  void fill_io(const Request& r, double& t, SimulationResult& result);
 
   /// One fault-aware disk read: transient failures retried with backoff
   /// (charged to the caller's clock) and slow-disk latency spikes, per the
@@ -128,15 +188,12 @@ class HierarchySimulator {
   /// are off.
   double disk_read(NodeId node, std::uint64_t lba, SimulationResult& result);
 
-  /// Disk-read epilogue: sequential-stream detection and readahead into
-  /// the owning storage cache (TopologyConfig::prefetch_depth). Staging is
-  /// suppressed (stream bookkeeping kept) while the cache is offline.
-  void after_disk_read(BlockKey key, NodeId node, std::uint64_t lba,
-                       SimulationResult& result, bool staging_allowed);
-
-  /// Storage-hit epilogue: keeps the readahead window moving through
-  /// staged blocks.
-  void after_storage_hit(BlockKey key, NodeId node, SimulationResult& result);
+  /// Sequential-stream detection per (node, file) and readahead into the
+  /// node's storage cache (TopologyConfig::prefetch_depth), after a
+  /// storage hit or a disk read of `key`. `staging_allowed` false keeps
+  /// the detector moving but stages nothing (the cache is bypassed).
+  void advance_stream(BlockKey key, NodeId node, bool staging_allowed,
+                      SimulationResult& result);
 
   StorageTopology topology_;
   PolicyKind policy_;
@@ -147,19 +204,14 @@ class HierarchySimulator {
   /// the start of every run() so repeated runs replay identical faults.
   FaultPlan faults_;
 
-  /// Storage-cache operations dispatch on the policy: LRU containers for
-  /// every policy except kMqInclusive, which manages the storage level
-  /// with the Multi-Queue algorithm. Inserts book fills/evictions into the
-  /// per-layer stats of `result`.
-  bool storage_touch(NodeId node, BlockKey key);
+  /// Cache inserts book fills/evictions into the per-layer stats of
+  /// `result`, and the owner's occupancy when partitioned. A storage
+  /// victim's dirty write-back is deferred to the next request; the I/O
+  /// victim (if any) is returned for write-back/demotion.
   void storage_insert(NodeId node, BlockKey key, SimulationResult& result);
   bool storage_erase(NodeId node, BlockKey key);
-  bool storage_contains(NodeId node, BlockKey key) const;
-
-  /// I/O-cache insert with fill/eviction accounting; the displaced block
-  /// (if any) is reported through `victim_out` for write-back/demotion.
-  void io_insert(NodeId io, BlockKey key, SimulationResult& result,
-                 std::optional<BlockKey>* victim_out = nullptr);
+  std::optional<BlockKey> io_insert(NodeId io, BlockKey key,
+                                    SimulationResult& result);
 
   /// Write-back bookkeeping (TopologyConfig::model_writes).
   void mark_io_dirty(NodeId io, BlockKey key);
@@ -195,11 +247,11 @@ class HierarchySimulator {
   /// requests, reassigns each cache's slack above the guaranteed floors in
   /// proportion to the misses each tenant suffered during the epoch.
   void maybe_rebalance_qos(SimulationResult& result);
-  /// Per-tenant occupancy/eviction bookkeeping shared by both cores.
-  void qos_note_io_insert(NodeId io, bool was_resident, bool evicted,
-                          SimulationResult& result);
-  void qos_note_storage_insert(bool was_resident, bool evicted,
-                               SimulationResult& result);
+  /// Per-tenant occupancy/eviction bookkeeping of one partitioned insert;
+  /// `evictions` names the layer's TenantStats eviction counter.
+  void qos_note_insert(bool was_resident, bool evicted,
+                       std::uint64_t TenantStats::*evictions,
+                       SimulationResult& result);
 
   /// --- per-tenant attribution ledger (set_tenants) ----------------------
   /// Counter deltas are attributed scope-to-scope: tenant_switch(t) settles
@@ -234,10 +286,8 @@ class HierarchySimulator {
 
   std::vector<LruCache> io_caches_;       ///< one per I/O node
   std::vector<LruCache> storage_caches_;  ///< one per storage node
-  std::vector<MqCache> storage_mq_;       ///< used by kMqInclusive
   Striping striping_;
   DiskArray disks_;
-  std::vector<std::uint64_t> last_lba_;  ///< per storage node, for readahead
   /// Dirty-block sets per layer (packed keys), used when model_writes.
   std::vector<std::unordered_set<std::uint64_t>> io_dirty_;
   std::vector<std::unordered_set<std::uint64_t>> storage_dirty_;

@@ -270,7 +270,7 @@ SampledSystem random_system(util::Rng& rng, const SystemOptions& options) {
 
   static constexpr storage::PolicyKind kPolicies[] = {
       storage::PolicyKind::kLruInclusive, storage::PolicyKind::kDemoteLru,
-      storage::PolicyKind::kKarma, storage::PolicyKind::kMqInclusive};
+      storage::PolicyKind::kKarma};
   out.policy = kPolicies[rng.next_below(std::size(kPolicies))];
   static constexpr parallel::MappingKind kMappings[] = {
       parallel::MappingKind::kIdentity, parallel::MappingKind::kPermutation2,

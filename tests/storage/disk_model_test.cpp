@@ -112,20 +112,6 @@ TEST(DiskArrayTest, ServiceRunStreamsAfterPositioning) {
   EXPECT_EQ(disks.service_run(0, 104, 0), 0.0);
 }
 
-TEST(NetworkModelTest, RunCostsAccumulatePerBlock) {
-  LatencyModel lat;
-  const NetworkModel net(lat, 2048, 1.0e9);
-  double compute = 0;
-  double storage = 0;
-  for (int i = 0; i < 5; ++i) {
-    compute += net.compute_io_hop();
-    storage += net.io_storage_hop();
-  }
-  EXPECT_EQ(net.compute_io_run(5), compute);
-  EXPECT_EQ(net.io_storage_run(5), storage);
-  EXPECT_EQ(net.compute_io_run(0), 0.0);
-}
-
 TEST(NetworkModelTest, HopCostsIncludeWireTime) {
   LatencyModel lat;
   const NetworkModel net(lat, 2048, 1.0e9);

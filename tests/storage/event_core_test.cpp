@@ -263,7 +263,6 @@ TEST(EventClockEnvelopeTest, CachedPolicies) {
   const TopologyConfig c = tiny_config(4, 8);
   expect_cores_agree(c, PolicyKind::kLruInclusive, envelope_trace());
   expect_cores_agree(c, PolicyKind::kDemoteLru, envelope_trace());
-  expect_cores_agree(c, PolicyKind::kMqInclusive, envelope_trace());
 }
 
 TEST(EventClockEnvelopeTest, KarmaHints) {

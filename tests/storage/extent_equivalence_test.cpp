@@ -120,8 +120,7 @@ void expect_equivalent(const TopologyConfig& config, PolicyKind policy,
 }
 
 const PolicyKind kPolicies[] = {PolicyKind::kLruInclusive,
-                                PolicyKind::kDemoteLru,
-                                PolicyKind::kMqInclusive, PolicyKind::kKarma};
+                                PolicyKind::kDemoteLru, PolicyKind::kKarma};
 
 std::vector<RangeHint> karma_hints(const TraceProgram& trace) {
   std::vector<RangeHint> hints;

@@ -161,8 +161,7 @@ TEST(FaultSimulationTest, DisabledFaultsAreByteIdentical) {
   zero_cfg.fault.enabled = true;  // enabled but nothing can fire
 
   for (const auto policy :
-       {PolicyKind::kLruInclusive, PolicyKind::kDemoteLru, PolicyKind::kKarma,
-        PolicyKind::kMqInclusive}) {
+       {PolicyKind::kLruInclusive, PolicyKind::kDemoteLru, PolicyKind::kKarma}) {
     HierarchySimulator base(baseline, policy, identity_io_mapping(baseline));
     const auto expect = base.run(trace);
     const StorageTopology disabled(disabled_cfg);

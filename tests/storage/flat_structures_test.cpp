@@ -210,13 +210,6 @@ TEST_P(LruDifferentialTest, MatchesListMapReference) {
         ASSERT_EQ(cache.touch_run(key, n), expect);
         break;
       }
-      case 3: {
-        const auto n = static_cast<std::uint32_t>(rng.next_below(9));
-        std::uint32_t expect = 0;
-        while (expect < n && ref.contains(key.packed() + expect)) ++expect;
-        ASSERT_EQ(cache.resident_run(key, n), expect);
-        break;
-      }
       case 4:
       case 5:
       case 6: {
@@ -229,6 +222,7 @@ TEST_P(LruDifferentialTest, MatchesListMapReference) {
       case 7:
         ASSERT_EQ(cache.erase(key), ref.erase(key.packed()));
         break;
+      case 3:
       case 8:
         ASSERT_EQ(packed(cache.lru_key()), ref.lru_key());
         ASSERT_EQ(cache.owner_of(key), ref.owner_of(key.packed()));

@@ -115,16 +115,6 @@ TEST(LruCacheTest, FilesDoNotCollide) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(LruCacheTest, ResidentRunCountsPrefixWithoutPromoting) {
-  LruCache cache(8);
-  for (std::uint64_t b = 0; b < 5; ++b) cache.insert(key(0, b));
-  EXPECT_EQ(cache.resident_run(key(0, 1), 10), 4u);  // 1..4 resident
-  EXPECT_EQ(cache.resident_run(key(0, 1), 2), 2u);   // capped by max
-  EXPECT_EQ(cache.resident_run(key(0, 5), 3), 0u);   // starts at a miss
-  // No recency change: block 0 is still the LRU victim.
-  EXPECT_EQ(cache.lru_key(), key(0, 0));
-}
-
 TEST(LruCacheTest, TouchRunMatchesSequentialTouches) {
   LruCache run_cache(6);
   LruCache loop_cache(6);

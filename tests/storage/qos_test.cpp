@@ -1,6 +1,6 @@
 // Tenant QoS unit coverage (DESIGN.md §4k): the spec parser, the
-// largest-remainder quota apportionment, per-tenant cache partitions in
-// both replacement policies, the pluggable disk scheduler, and the
+// largest-remainder quota apportionment, per-tenant LRU cache partitions,
+// the pluggable disk scheduler, and the
 // simulator's per-tenant attribution under partitioning — including the
 // zero-access-tenant convention the delta-snapshot accounting must keep.
 #include "storage/qos.hpp"
@@ -12,7 +12,6 @@
 
 #include "storage/disk_sched.hpp"
 #include "storage/lru_cache.hpp"
-#include "storage/mq_cache.hpp"
 #include "storage/simulator.hpp"
 
 namespace flo::storage {
@@ -180,65 +179,6 @@ TEST(LruPartitionTest, SingleFullPartitionMatchesUnpartitionedCache) {
     const BlockKey key{0, b};
     const bool hit_plain = plain.touch(key);
     const bool hit_single = single.touch(key);
-    EXPECT_EQ(hit_plain, hit_single) << "block " << b;
-    if (!hit_plain) {
-      EXPECT_EQ(plain.insert(key), single.insert(key, 0)) << "block " << b;
-    }
-  }
-  EXPECT_EQ(plain.size(), single.size());
-}
-
-// --- MqCache partitions --------------------------------------------------
-
-TEST(MqPartitionTest, VictimsComeFromTheOwnersOwnPartition) {
-  MqCache cache(4);
-  cache.set_partitions({2, 2});
-  cache.insert({0, 1}, 0);
-  cache.insert({0, 2}, 0);
-  cache.insert({1, 1}, 1);
-  const auto victim = cache.insert({0, 3}, 0);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->file, 0u);
-  EXPECT_TRUE(cache.contains({1, 1}));
-  EXPECT_EQ(cache.partition_occupancy(0), 2u);
-  EXPECT_EQ(cache.partition_occupancy(1), 1u);
-}
-
-TEST(MqPartitionTest, ZeroQuotaLeavesTheCacheUnpartitioned) {
-  MqCache cache(8);
-  try {
-    cache.set_partitions({2, 0, 3});
-    FAIL() << "a zero quota must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "MqCache: zero partition quota");
-  }
-  EXPECT_FALSE(cache.partitioned());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.insert({0, 1}, 1).has_value());
-  EXPECT_TRUE(cache.contains({0, 1}));
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(MqPartitionTest, HitsRouteToTheOwningPartition) {
-  MqCache cache(4);
-  cache.set_partitions({2, 2});
-  cache.insert({0, 1}, 0);
-  // A hit issued by another tenant still touches the owner's partition:
-  // ownership is set at insert and never migrates.
-  EXPECT_TRUE(cache.touch({0, 1}, 1));
-  EXPECT_EQ(cache.owner_of({0, 1}), std::optional<std::uint32_t>{0});
-  EXPECT_EQ(cache.partition_occupancy(1), 0u);
-}
-
-TEST(MqPartitionTest, SingleFullPartitionMatchesUnpartitionedCache) {
-  MqCache plain(3);
-  MqCache single(3);
-  single.set_partitions({3});
-  const std::vector<std::uint64_t> refs = {1, 2, 3, 1, 4, 2, 5, 5, 1, 3};
-  for (std::uint64_t b : refs) {
-    const BlockKey key{0, b};
-    const bool hit_plain = plain.touch(key);
-    const bool hit_single = single.touch(key, 0);
     EXPECT_EQ(hit_plain, hit_single) << "block " << b;
     if (!hit_plain) {
       EXPECT_EQ(plain.insert(key), single.insert(key, 0)) << "block " << b;
