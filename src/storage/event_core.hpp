@@ -13,16 +13,17 @@
 // queueing delay.
 //
 // The engine makes no policy decision and touches no cache. It is a friend
-// of HierarchySimulator and calls the clock core's own request-path hops
-// (begin_request, io_lookup, storage_faults, storage_lookup,
-// storage_hit_done, disk_read_done, fill_io) at its event boundaries; what
-// it adds is queueing: one FIFO server per I/O and storage node, the disk
-// schedulers, and the readahead frontier. That is what makes the
-// equivalence envelope (DESIGN.md §4g) hold by construction: with one
-// thread, prefetch off and faults off, no server ever queues, the hops run
-// in the clock core's order, and all integer per-layer stats are
-// bit-identical (times differ only by how the stage sums associate,
-// bounded by ulps — the event-vs-clock fuzz oracle pins both properties).
+// of HierarchySimulator and calls the request-path hops the clock core
+// charges inline (begin_request, io_lookup, storage_faults,
+// storage_lookup, storage_hit_done, disk_read_done, fill_io) at its event
+// boundaries; what it adds is queueing: one FIFO server per I/O and
+// storage node, the disk schedulers, and the readahead frontier. That is
+// what makes the equivalence envelope (DESIGN.md §4g) hold by
+// construction: with one thread, prefetch off and faults off, no server
+// ever queues, the hops run in the clock core's order, and all integer
+// per-layer stats are bit-identical (times differ only by how the stage
+// sums associate, bounded by ulps — the event-vs-clock fuzz oracle pins
+// both properties).
 #pragma once
 
 #include <cstdint>
