@@ -2,14 +2,15 @@
 // (paper tables/figures, ablations, fault sweep, smoke) by glob filter:
 //
 //   flo_bench --list                 # what can run
-//   flo_bench --filter fig7a         # byte-identical to the old bench_fig7a
+//   flo_bench --filter fig7a         # one scenario
 //   flo_bench --filter 'fig7*'       # all eight figures
 //   flo_bench --filter smoke --metrics=json
 //
-// Running a single scenario prints exactly what its former standalone
-// binary printed; with multiple matches a banner separates the sections.
-// Metrics (--metrics / FLO_METRICS) and --out exports always go to side
-// files, never stdout.
+// A single scenario's stdout is a pure function of the code:
+// results/golden/<name>.<core>.txt pins it for each simulator core, and
+// the golden.* ctests check it. With multiple matches a banner separates
+// the sections. Metrics (--metrics / FLO_METRICS) and --out exports
+// always go to side files, never stdout.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -90,42 +91,47 @@ int main(int argc, char** argv) {
   std::string out_format, out_file, metrics_out;
   flo::obs::SinkMode metrics = flo::obs::sink_mode_from_env();
 
-  const auto value_of = [&](int& i, const std::string& arg,
-                            const std::string& name) -> std::string {
-    // Accepts both --name=value and --name value.
-    if (arg.size() > name.size() && arg[name.size()] == '=') {
-      return arg.substr(name.size() + 1);
+  // Matches `--name value` and `--name=value` only; a longer word that
+  // merely starts with a flag's name (`--filterzzz`) is not that flag.
+  const auto flag_value = [&](int& i, const std::string& arg,
+                              const std::string& name, std::string& value) {
+    if (arg.compare(0, name.size(), name) != 0) return false;
+    if (arg.size() > name.size()) {
+      if (arg[name.size()] != '=') return false;
+      value = arg.substr(name.size() + 1);
+      return true;
     }
     if (i + 1 >= argc) {
       std::cerr << "flo_bench: " << name << " needs a value\n";
       std::exit(usage(std::cerr, 2));
     }
-    return argv[++i];
+    value = argv[++i];
+    return true;
   };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string value;
     if (arg == "--list") {
       list = true;
     } else if (arg == "--help" || arg == "-h") {
       return usage(std::cout, 0);
-    } else if (arg.rfind("--filter", 0) == 0) {
-      filters.push_back(value_of(i, arg, "--filter"));
-    } else if (arg.rfind("--out-file", 0) == 0) {
-      out_file = value_of(i, arg, "--out-file");
-    } else if (arg.rfind("--out", 0) == 0) {
-      out_format = value_of(i, arg, "--out");
+    } else if (flag_value(i, arg, "--filter", value)) {
+      filters.push_back(value);
+    } else if (flag_value(i, arg, "--out-file", value)) {
+      out_file = value;
+    } else if (flag_value(i, arg, "--out", value)) {
+      out_format = value;
       if (out_format != "csv" && out_format != "jsonl") {
         std::cerr << "flo_bench: --out must be csv or jsonl\n";
         return 2;
       }
-    } else if (arg.rfind("--metrics-out", 0) == 0) {
-      metrics_out = value_of(i, arg, "--metrics-out");
-    } else if (arg.rfind("--metrics", 0) == 0) {
-      const std::string mode = value_of(i, arg, "--metrics");
-      metrics = flo::obs::parse_sink_mode(mode);
-      if (metrics == flo::obs::SinkMode::kOff && mode != "off") {
-        std::cerr << "flo_bench: unknown --metrics mode '" << mode << "'\n";
+    } else if (flag_value(i, arg, "--metrics-out", value)) {
+      metrics_out = value;
+    } else if (flag_value(i, arg, "--metrics", value)) {
+      metrics = flo::obs::parse_sink_mode(value);
+      if (metrics == flo::obs::SinkMode::kOff && value != "off") {
+        std::cerr << "flo_bench: unknown --metrics mode '" << value << "'\n";
         return 2;
       }
     } else {
@@ -150,19 +156,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Union the filters in registry order, without duplicates.
+  // Union the filters in registry order, without duplicates: the specs
+  // live in one vector, so pointer order is registry order.
   std::vector<const ScenarioSpec*> selected;
-  for (const auto& spec : flo::bench::scenarios()) {
-    bool matched = false;
-    for (const auto& filter : filters) {
-      matched = flo::bench::glob_match(filter, spec.name);
-      for (std::size_t t = 0; !matched && t < spec.tags.size(); ++t) {
-        matched = flo::bench::glob_match(filter, spec.tags[t]);
-      }
-      if (matched) break;
-    }
-    if (matched) selected.push_back(&spec);
+  for (const auto& filter : filters) {
+    const auto matched = flo::bench::match_scenarios(filter);
+    selected.insert(selected.end(), matched.begin(), matched.end());
   }
+  std::sort(selected.begin(), selected.end());
+  selected.erase(std::unique(selected.begin(), selected.end()),
+                 selected.end());
   if (selected.empty()) {
     std::cerr << "flo_bench: no scenario matches";
     for (const auto& filter : filters) std::cerr << " '" << filter << "'";
@@ -177,8 +180,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const ScenarioSpec& spec = *selected[i];
     if (selected.size() > 1) {
-      // Single-scenario output stays byte-identical to the old standalone
-      // binary; banners appear only between sections of a multi-run.
+      // Banners appear only between sections of a multi-run, so a single
+      // scenario prints exactly its golden.
       if (i != 0) std::cout << '\n';
       std::cout << "==== " << spec.name << " — " << spec.title << " ====\n\n";
     }

@@ -1,8 +1,5 @@
 #include "bench/scenario.hpp"
 
-#include <iostream>
-
-#include "obs/sink.hpp"
 #include "util/glob.hpp"
 
 namespace flo::bench {
@@ -43,28 +40,6 @@ std::vector<const ScenarioSpec*> match_scenarios(const std::string& pattern) {
     if (matched) out.push_back(&spec);
   }
   return out;
-}
-
-int run_scenario_main(const std::string& name) {
-  const ScenarioSpec* spec = find_scenario(name);
-  if (spec == nullptr) {
-    std::cerr << "unknown scenario: " << name << '\n';
-    return 2;
-  }
-  const obs::SinkMode mode = obs::sink_mode_from_env();
-  if (mode != obs::SinkMode::kOff) obs::set_enabled(true);
-  ScenarioContext ctx(std::cout);
-  ctx.set_scenario(spec->name);
-  const int rc = spec->run(ctx);
-  if (mode != obs::SinkMode::kOff) {
-    // Metrics go to a side file, never stdout, so enabling FLO_METRICS
-    // leaves the table output byte-identical.
-    const std::string path =
-        obs::flush_to_file(mode, obs::default_sink_path(mode, spec->name));
-    std::cerr << "metrics (" << obs::sink_mode_name(mode) << "): " << path
-              << '\n';
-  }
-  return rc;
 }
 
 }  // namespace flo::bench

@@ -1,13 +1,11 @@
 // Data-driven scenario registry: every paper figure/table and every
-// in-house ablation is a named ScenarioSpec instead of a standalone
-// binary. One driver (flo_bench) lists, filters, and runs them; the old
-// per-figure binaries remain as thin aliases over run_scenario_main() so
-// their output stays byte-identical by construction.
+// in-house ablation is a named ScenarioSpec; flo_bench lists, filters,
+// and runs them.
 //
 // A scenario writes its human-readable table to ScenarioContext::out()
-// (exactly what the old binary wrote to stdout) and may additionally
-// emit() headline numbers — (scenario, key, value) rows — which flo_bench
-// can export as CSV or JSON Lines via --out.
+// (flo_bench's stdout, pinned per simulator core by results/golden/) and
+// may additionally emit() headline numbers — (scenario, key, value) rows —
+// which flo_bench can export as CSV or JSON Lines via --out.
 #pragma once
 
 #include <ostream>
@@ -28,8 +26,8 @@ class ScenarioContext {
  public:
   explicit ScenarioContext(std::ostream& out) : out_(out) {}
 
-  /// Human-readable output stream — stdout in the driver and the alias
-  /// binaries, a capture buffer in tests.
+  /// Human-readable output stream — stdout in flo_bench, a capture
+  /// buffer in tests.
   std::ostream& out() { return out_; }
 
   /// Records a headline number for --out export; never prints.
@@ -47,7 +45,7 @@ class ScenarioContext {
 };
 
 struct ScenarioSpec {
-  std::string name;   ///< stable id used by --filter and the alias binaries
+  std::string name;   ///< stable id used by --filter and the golden files
   std::string title;  ///< one-line description shown by --list
   std::string paper;  ///< the paper band/number this scenario reproduces
   std::vector<std::string> tags;  ///< e.g. {"paper", "figure"}, {"smoke"}
@@ -64,15 +62,10 @@ const ScenarioSpec* find_scenario(const std::string& name);
 
 /// Shell-style glob over `*` and `?` (no character classes); anchored at
 /// both ends, so "fig7*" matches "fig7a" but not "xfig7a". Thin wrapper
-/// over util::glob_match, kept for the alias binaries' existing includes.
+/// over util::glob_match.
 bool glob_match(const std::string& pattern, const std::string& text);
 
 /// Scenarios whose name or any tag matches the glob, in registry order.
 std::vector<const ScenarioSpec*> match_scenarios(const std::string& pattern);
-
-/// Runs one scenario against stdout with FLO_METRICS honored (metrics go
-/// to a side file, never stdout). The alias binaries' entire main() —
-/// byte-identical to `flo_bench --filter <name>`.
-int run_scenario_main(const std::string& name);
 
 }  // namespace flo::bench

@@ -1,6 +1,5 @@
-// Paper scenarios: Table 2, Table 3, and Fig. 7(a)-(h). Each run_* body is
-// the transplanted main() of the former bench_<name> binary; the alias
-// binaries still exist and route here, so output stays byte-identical.
+// Paper scenarios: Table 2, Table 3, and Fig. 7(a)-(h). `flo_bench
+// --filter <name>` runs each one; results/golden/ pins its stdout.
 #include <algorithm>
 
 #include "bench/bench_common.hpp"

@@ -48,101 +48,16 @@ std::string SimulationResult::summary() const {
 
 namespace {
 
-void layer_line(std::ostringstream& os, const char* label,
-                const LayerStats& layer) {
-  os << "  " << label << ": " << layer.lookups << " lookups, " << layer.hits
-     << " hits (" << util::format_percent(layer.hit_rate()) << "), "
-     << layer.fills << " fills, " << layer.evictions << " evictions, "
-     << util::format_bytes(layer.bytes_filled) << " filled\n";
-}
-
-void fault_layer_line(std::ostringstream& os, const char* label,
-                      const FaultLayerStats& layer) {
-  os << "  " << label << ": " << layer.bypasses << " bypasses, "
-     << layer.transient_failures << " transient failures, "
-     << layer.slow_services << " slow services, "
-     << util::format_duration(layer.degraded_time) << " degraded\n";
-}
-
-void queue_layer_line(std::ostringstream& os, const char* label,
-                      const QueueLayerStats& layer) {
-  os << "  " << label << ": " << layer.waits << " waits, "
-     << util::format_duration(layer.wait_time) << " queued, peak depth "
-     << layer.max_depth << '\n';
-}
-
-}  // namespace
-
-std::string SimulationResult::detailed() const {
-  std::ostringstream os;
-  os << "exec " << util::format_duration(exec_time) << " over " << accesses
-     << " block requests (" << elements << " element accesses)\n";
-  layer_line(os, "io cache     ", io);
-  layer_line(os, "storage cache", storage);
-  os << "  disk         : " << disk_reads << " reads, " << disk_writes
-     << " writes\n";
-  os << "  traffic      : " << demotions << " demotions, " << writebacks
-     << " writebacks, " << prefetches << " prefetches";
-  if (queue.any()) {
-    os << '\n';
-    queue_layer_line(os, "queue io     ", queue.io);
-    queue_layer_line(os, "queue storage", queue.storage);
-    os << "  queue disk   : " << queue.disk.waits << " waits, "
-       << util::format_duration(queue.disk.wait_time) << " queued, peak depth "
-       << queue.disk.max_depth;
-  }
-  if (faults.any()) {
-    os << '\n';
-    fault_layer_line(os, "faults io    ", faults.io);
-    fault_layer_line(os, "faults storag", faults.storage);
-    fault_layer_line(os, "faults disk  ", faults.disk);
-    os << "  faults       : " << faults.exhausted_retries
-       << " exhausted retry budgets";
-  }
-  if (bound_bytes() != 0) {
-    os << '\n'
-       << "  bound        : " << util::format_bytes(achieved_bytes())
-       << " filled vs " << util::format_bytes(bound_bytes())
-       << " minimum (ratio " << util::format_fixed(achieved_ratio(), 2)
-       << ')';
-  }
-  for (std::size_t k = 0; k < tenants.size(); ++k) {
-    const TenantStats& t = tenants[k];
-    const double io_rate = t.io_lookups == 0
-                               ? 0.0
-                               : static_cast<double>(t.io_hits) / t.io_lookups;
-    os << '\n'
-       << "  tenant " << k << "      : " << t.accesses << " requests, io hit "
-       << util::format_percent(io_rate) << ", " << t.disk_reads
-       << " disk reads, " << util::format_bytes(t.bytes_filled) << " filled, "
-       << util::format_duration(t.busy_time) << " busy";
-  }
-  return os.str();
-}
-
-namespace {
-
 // --- wire codec -----------------------------------------------------------
 // Space-separated fields in a fixed order; integers in decimal, doubles as
 // C99 hexfloats ("%a") so values round-trip bit-exactly through text. The
-// vector field is length-prefixed. A version tag leads the line so future
-// field additions can invalidate old journals instead of misparsing them.
-
-// v2 appended the event-core queue stats; v1 lines (pre-event journals)
-// still parse, with queue stats zero — exactly what the clock core that
-// wrote them produced. v3 appended the two I/O lower-bound fields; v1/v2
-// lines parse with bounds zero ("no claim"), matching what the runners
-// that wrote them computed. v4 appended the length-prefixed per-tenant
-// attribution slices; v1–v3 lines parse with tenants empty — exactly what
-// the single-tenant runners that wrote them produced. v5 appended three
-// QoS fields to each tenant record (io/storage evictions, occupancy
-// peak); v4 lines parse with those zero — exactly what the pre-QoS
-// runners that wrote them produced.
-constexpr const char* kWireTagV1 = "sim-v1";
-constexpr const char* kWireTagV2 = "sim-v2";
-constexpr const char* kWireTagV3 = "sim-v3";
-constexpr const char* kWireTagV4 = "sim-v4";
-constexpr const char* kWireTagV5 = "sim-v5";
+// vector fields are length-prefixed. A version tag leads the line, and
+// from_wire reads only the current one: a line of any other version is
+// unparseable, which the engine's journal treats as a cell still to run.
+// Reading older versions could never restore a result anyway: since
+// sim-v5 every journal key carries the full topology, QoS fields included,
+// so no sim-v1...sim-v4 line names a current cell.
+constexpr const char* kWireTag = "sim-v5";
 
 void put_double(std::ostringstream& os, double value) {
   char buffer[48];
@@ -224,7 +139,7 @@ struct Reader {
     out.wait_time = f64();
     out.max_depth = u64();
   }
-  void tenant(TenantStats& out, bool qos_fields) {
+  void tenant(TenantStats& out) {
     out.accesses = u64();
     out.elements = u64();
     out.io_lookups = u64();
@@ -234,11 +149,9 @@ struct Reader {
     out.disk_reads = u64();
     out.bytes_filled = u64();
     out.busy_time = f64();
-    if (qos_fields) {
-      out.io_evictions = u64();
-      out.storage_evictions = u64();
-      out.occupancy_peak = u64();
-    }
+    out.io_evictions = u64();
+    out.storage_evictions = u64();
+    out.occupancy_peak = u64();
   }
 };
 
@@ -246,7 +159,7 @@ struct Reader {
 
 std::string to_wire(const SimulationResult& result) {
   std::ostringstream os;
-  os << kWireTagV5;
+  os << kWireTag;
   put_layer(os, result.io);
   put_layer(os, result.storage);
   put_double(os, result.exec_time);
@@ -270,12 +183,7 @@ std::string to_wire(const SimulationResult& result) {
 
 std::optional<SimulationResult> from_wire(const std::string& line) {
   Reader reader(line);
-  const std::string tag = reader.token();
-  const bool v5 = tag == kWireTagV5;
-  const bool v4 = v5 || tag == kWireTagV4;
-  const bool v3 = v4 || tag == kWireTagV3;
-  const bool v2 = v3 || tag == kWireTagV2;
-  if (!v2 && tag != kWireTagV1) return std::nullopt;
+  if (reader.token() != kWireTag) return std::nullopt;
   SimulationResult result;
   reader.layer(result.io);
   reader.layer(result.storage);
@@ -295,21 +203,15 @@ std::optional<SimulationResult> from_wire(const std::string& line) {
   reader.fault_layer(result.faults.storage);
   reader.fault_layer(result.faults.disk);
   result.faults.exhausted_retries = reader.u64();
-  if (v2) {
-    reader.queue_layer(result.queue.io);
-    reader.queue_layer(result.queue.storage);
-    reader.queue_layer(result.queue.disk);
-  }
-  if (v3) {
-    result.io_bound_bytes = reader.u64();
-    result.storage_bound_bytes = reader.u64();
-  }
-  if (v4) {
-    const std::uint64_t tenant_count = reader.u64();
-    if (!reader.ok || tenant_count > (1u << 16)) return std::nullopt;
-    result.tenants.resize(static_cast<std::size_t>(tenant_count));
-    for (auto& tenant : result.tenants) reader.tenant(tenant, v5);
-  }
+  reader.queue_layer(result.queue.io);
+  reader.queue_layer(result.queue.storage);
+  reader.queue_layer(result.queue.disk);
+  result.io_bound_bytes = reader.u64();
+  result.storage_bound_bytes = reader.u64();
+  const std::uint64_t tenant_count = reader.u64();
+  if (!reader.ok || tenant_count > (1u << 16)) return std::nullopt;
+  result.tenants.resize(static_cast<std::size_t>(tenant_count));
+  for (auto& tenant : result.tenants) reader.tenant(tenant);
   std::string trailing;
   if (reader.is >> trailing) return std::nullopt;  // extra fields: reject
   if (!reader.ok) return std::nullopt;

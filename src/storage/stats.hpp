@@ -170,10 +170,6 @@ struct SimulationResult {
 
   std::string summary() const;
 
-  /// Multi-line per-layer breakdown (lookups/hits/fills/evictions/bytes
-  /// per cache level plus the disk and traffic counters).
-  std::string detailed() const;
-
   /// Exact equality over every field, including per-thread times — the
   /// determinism and golden streaming-vs-eager tests rely on this being
   /// bitwise-strict (doubles compared with ==, not a tolerance).
@@ -187,8 +183,9 @@ struct SimulationResult {
 /// must reproduce byte-identical output).
 std::string to_wire(const SimulationResult& result);
 
-/// Inverse of to_wire; std::nullopt on any malformed input (a resumable
-/// journal treats such cells as not-yet-run rather than crashing).
+/// Inverse of to_wire; std::nullopt on any malformed input or any line of
+/// an older wire version (a resumable journal treats such cells as
+/// not-yet-run rather than crashing).
 std::optional<SimulationResult> from_wire(const std::string& line);
 
 /// Flows one simulation's per-layer hit/miss/bytes/fault counters into the

@@ -77,8 +77,8 @@ struct TopologyConfig {
   /// sequential per-disk stream, the next `prefetch_depth` local stripes
   /// are staged into that node's storage cache (0 disables). The paper
   /// notes the optimized linear layouts "can also help improve the
-  /// effectiveness of hardware I/O prefetching" — bench_ablation_prefetch
-  /// measures exactly that.
+  /// effectiveness of hardware I/O prefetching" — `flo_bench --filter
+  /// ablation_prefetch` measures exactly that.
   std::uint32_t prefetch_depth = 0;
 
   /// Write-back modeling (off by default: writes behave like reads, the

@@ -1,10 +1,11 @@
-// Scenario-registry tests: registry completeness, glob filtering, the
-// smoke scenario end to end, and the guarantee that enabling metrics
-// leaves scenario stdout byte-identical.
+// Scenario-registry tests: registry completeness, golden coverage, glob
+// filtering, the smoke scenario end to end, and the guarantee that
+// enabling metrics leaves scenario stdout byte-identical.
 #include "bench/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <sstream>
 
@@ -32,6 +33,22 @@ TEST(ScenarioRegistryTest, EveryHistoricalBinaryHasAScenario) {
     EXPECT_FALSE(spec.title.empty()) << spec.name;
   }
   EXPECT_EQ(actual, expected);
+}
+
+// Each golden file becomes one golden.<scenario>.<core> ctest
+// (bench/CMakeLists.txt), so a scenario without both files would go
+// unchecked on that core.
+TEST(ScenarioRegistryTest, EveryScenarioHasAGoldenPerCore) {
+  for (const auto& spec : scenarios()) {
+    for (const std::string core : {"clock", "event"}) {
+      const std::filesystem::path golden =
+          std::filesystem::path(FLO_GOLDEN_DIR) /
+          (spec.name + "." + core + ".txt");
+      EXPECT_TRUE(std::filesystem::is_regular_file(golden))
+          << "missing " << golden.string() << ": write it from the stdout "
+          << "of FLO_SIM=" << core << " flo_bench --filter " << spec.name;
+    }
+  }
 }
 
 TEST(ScenarioRegistryTest, FindScenario) {

@@ -319,50 +319,6 @@ TEST(WireCodecTest, QueueStatsRoundTrip) {
   EXPECT_EQ(*decoded, result);  // bitwise, queue stats included
 }
 
-TEST(WireCodecTest, V1LinesParseWithZeroQueueStats) {
-  // Pre-event journals carry no queue fields; they must keep parsing (as
-  // the all-zero queue stats the clock core that wrote them produced).
-  SimulationResult result;
-  result.io.lookups = 5;
-  result.io.hits = 3;
-  result.exec_time = 1.25;
-  result.thread_time = {1.25};
-  result.disk_reads = 2;
-  std::string v5 = to_wire(result);
-  ASSERT_EQ(v5.rfind("sim-v5", 0), 0u);
-  // With no tenants a v5 body is a v4 body. Strip the trailing tenant
-  // count, the 2 bound tokens and the 9 queue tokens (3 layers x
-  // waits/wait_time/depth), rewrite the tag: the exact v1 encoding.
-  std::string v1 = "sim-v1" + v5.substr(6);
-  for (int i = 0; i < 12; ++i) v1.erase(v1.find_last_of(' '));
-  const auto decoded = from_wire(v1);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, result);
-  EXPECT_FALSE(decoded->queue.any());
-}
-
-TEST(WireCodecTest, V2LinesParseWithZeroBounds) {
-  // Pre-bound journals (sim-v2) keep parsing; the bound fields come back
-  // zero — "no claim", exactly what the runners that wrote them computed.
-  SimulationResult result;
-  result.io.lookups = 5;
-  result.io.hits = 3;
-  result.io_bound_bytes = 4096;
-  result.storage_bound_bytes = 2048;
-  std::string v5 = to_wire(result);
-  ASSERT_EQ(v5.rfind("sim-v5", 0), 0u);
-  // Strip the tenant count and both bound tokens.
-  std::string v2 = "sim-v2" + v5.substr(6);
-  for (int i = 0; i < 3; ++i) v2.erase(v2.find_last_of(' '));
-  const auto decoded = from_wire(v2);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->io_bound_bytes, 0u);
-  EXPECT_EQ(decoded->storage_bound_bytes, 0u);
-  result.io_bound_bytes = 0;
-  result.storage_bound_bytes = 0;
-  EXPECT_EQ(*decoded, result);
-}
-
 TEST(QueueMetricsTest, PublishedOnlyWhenContended) {
   obs::set_enabled(true);
   obs::registry().reset();

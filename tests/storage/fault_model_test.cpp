@@ -303,21 +303,6 @@ TEST(WireCodecTest, TenantSlicesRoundTripInV5) {
   EXPECT_EQ(decoded->tenants[1].disk_reads, 2u);
 }
 
-TEST(WireCodecTest, OlderVersionsParseWithTenantsEmpty) {
-  // A v1–v3 line is exactly a v4 line with an older tag and without the
-  // trailing tenant fields (the v1/v2 cases additionally drop queue/bound
-  // fields, handled by the version cascade).
-  const std::string v4 = to_wire(SimulationResult{});
-  ASSERT_EQ(v4.substr(v4.size() - 2), " 0");  // tenant count
-  const std::string v3 = "sim-v3" + v4.substr(6, v4.size() - 8);
-  const auto decoded = from_wire(v3);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->tenants.empty());
-  EXPECT_EQ(*decoded, SimulationResult{});
-  // A v3 line must not accept tenant fields.
-  EXPECT_FALSE(from_wire(v3 + " 0").has_value());
-}
-
 TEST(WireCodecTest, RejectsAbsurdTenantCounts) {
   const std::string v4 = to_wire(SimulationResult{});
   const std::string huge =

@@ -1,7 +1,7 @@
 // Wire-format coverage for the sim-v5 revision (DESIGN.md §4k): the
 // per-tenant QoS fields ride at the end of each tenant record, doubles
-// stay C99 hexfloats (bit-exact round trips), sim-v4 lines still parse
-// with the QoS fields zero, and trailing fields are rejected.
+// stay C99 hexfloats (bit-exact round trips), lines of older versions and
+// trailing fields are rejected.
 #include "storage/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -61,23 +61,26 @@ TEST(StatsWireTest, V5RoundTripIsBitExact) {
   EXPECT_DOUBLE_EQ(back->tenants[0].busy_time, 2.0 / 7.0);
 }
 
-TEST(StatsWireTest, V4LinesStillParseWithZeroQosFields) {
+// sim-v1...sim-v4 lines are not read. Since sim-v5 every journal key
+// carries the full topology, QoS fields included, so no older line can
+// name a current cell; the engine recomputes an unparseable one.
+TEST(StatsWireTest, PreV5LinesAreRejected) {
   SimulationResult result = sample_result();
-  result.tenants.resize(1);  // one tenant: its record is the line's tail
-  std::string v4 = to_wire(result);
-  v4.replace(0, 6, "sim-v4");
-  v4 = drop_tokens(v4, 3);  // strip io_evictions storage_evictions occ_peak
-  const auto back = from_wire(v4);
-  ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->tenants.size(), 1u);
-  EXPECT_EQ(back->tenants[0].io_evictions, 0u);
-  EXPECT_EQ(back->tenants[0].storage_evictions, 0u);
-  EXPECT_EQ(back->tenants[0].occupancy_peak, 0u);
-  // Everything else survives: zero the QoS fields and require equality.
-  result.tenants[0].io_evictions = 0;
-  result.tenants[0].storage_evictions = 0;
-  result.tenants[0].occupancy_peak = 0;
-  EXPECT_EQ(*back, result);
+  result.tenants.clear();
+  const std::string v5 = to_wire(result);
+  ASSERT_TRUE(from_wire(v5).has_value());
+  const std::string body = v5.substr(std::string("sim-v5").size());
+  // Each older tag over the exact body its version wrote: with no tenants
+  // v4 equals v5; v3 had no tenant count, v2 no bound fields, and v1 no
+  // queue fields (3 layers x waits/wait_time/depth).
+  const struct {
+    const char* tag;
+    int dropped;
+  } legacy[] = {{"sim-v4", 0}, {"sim-v3", 1}, {"sim-v2", 3}, {"sim-v1", 12}};
+  for (const auto& version : legacy) {
+    const std::string line = version.tag + drop_tokens(body, version.dropped);
+    EXPECT_FALSE(from_wire(line).has_value()) << line;
+  }
 }
 
 TEST(StatsWireTest, TrailingFieldsAreRejected) {

@@ -25,6 +25,8 @@
 //
 // Malformed programs produce a compiler-style `file:line: message`
 // diagnostic and exit code 2; other failures exit 1.
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -52,6 +54,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Strict positive integer, the rule bench_common.hpp applies to
+/// FLO_WORKERS: digits only (no sign), nothing after them, in range, > 0.
+bool parse_thread_count(const char* text, std::size_t& out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value == 0) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,7 +86,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
+      const char* value = argv[++i];
+      if (!parse_thread_count(value, threads)) {
+        std::cerr << "flo_opt.cpp: --threads: want a positive integer, got '"
+                  << value << "'\n";
+        return 2;
+      }
     } else if (arg == "--faults" && i + 1 < argc) {
       fault_spec = argv[++i];
     } else if (arg == "--qos" && i + 1 < argc) {
