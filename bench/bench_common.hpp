@@ -28,7 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -38,6 +40,7 @@
 #include "storage/qos.hpp"
 #include "storage/sim_core.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workloads/suite.hpp"
 
@@ -56,17 +59,20 @@ namespace flo::bench {
 }
 
 /// Strict positive-integer env parse: the whole value must be a base-10
-/// integer > 0. Malformed or out-of-range values are fatal, not defaulted.
+/// integer > 0 (util::parse_decimal_u64: digits only, no sign or
+/// whitespace). Malformed or out-of-range values are fatal, not defaulted.
 inline std::size_t env_positive_u64(const char* var, const char* value) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || value[0] == '-') {
-    die_env(var, "malformed integer", value);
+  const std::string_view text(value);
+  const std::optional<std::uint64_t> v = util::parse_decimal_u64(text);
+  if (!v) {
+    // Digits only, yet no value: it does not fit in 64 bits.
+    const bool digits =
+        !text.empty() && text.find_first_not_of("0123456789") == text.npos;
+    die_env(var, digits ? "integer out of range" : "malformed integer",
+            value);
   }
-  if (errno == ERANGE) die_env(var, "integer out of range", value);
-  if (v == 0) die_env(var, "must be positive, got", value);
-  return static_cast<std::size_t>(v);
+  if (*v == 0) die_env(var, "must be positive, got", value);
+  return static_cast<std::size_t>(*v);
 }
 
 /// Strict positive-number env parse (seconds, fractions allowed).
@@ -130,12 +136,29 @@ inline void validate_qos_env() {
   }
 }
 
+/// Same up-front validation for FLO_FAULTS: a malformed spec, or a value
+/// FaultConfig::validate rejects (a NaN rate or backoff among them), exits
+/// 2 instead of ending the run with an uncaught exception or running
+/// silently without the faults the operator asked for.
+inline void validate_faults_env() {
+  if (const char* env = std::getenv("FLO_FAULTS")) {
+    if (*env != '\0') {
+      try {
+        (void)storage::parse_fault_spec(env);
+      } catch (const std::exception& err) {
+        die_env("FLO_FAULTS", err.what(), env);
+      }
+    }
+  }
+}
+
 /// Engine options assembled from the environment (workers, checkpoint
 /// journal, per-cell timeout/retry budgets). Malformed knobs exit 2.
 inline core::EngineOptions engine_options_from_env() {
   validate_sim_core_env();
   validate_solver_env();
   validate_qos_env();
+  validate_faults_env();
   core::EngineOptions options;
   options.workers = workers_from_env();
   options.share_compilations = true;

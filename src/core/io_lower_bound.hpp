@@ -42,6 +42,8 @@ struct IoBound {
 
 /// Computes the bound by a single pass over the trace (re-opening each
 /// (phase, thread) cursor once; repetitions are accounted analytically).
+/// Memory and the end-of-phase sweeps scale with the 32,768-block pages
+/// the trace touches, not with the declared file sizes.
 /// `io_node_of_thread` maps each of source.thread_count() threads to the
 /// I/O node serving it, exactly as handed to HierarchySimulator.
 IoBound compute_io_lower_bound(

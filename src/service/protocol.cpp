@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+
+#include "util/parse.hpp"
 
 namespace flo::service {
 
@@ -11,13 +14,9 @@ namespace {
 /// Strict full-string parse of a non-negative integer.
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   if (value.empty()) throw ProtocolError(key + ": empty value");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size() || value[0] == '-') {
-    throw ProtocolError(key + ": malformed integer '" + value + "'");
-  }
-  return static_cast<std::uint64_t>(v);
+  const std::optional<std::uint64_t> v = util::parse_decimal_u64(value);
+  if (!v) throw ProtocolError(key + ": malformed integer '" + value + "'");
+  return *v;
 }
 
 /// Strict full-string parse of a finite non-negative double.

@@ -10,7 +10,8 @@ DiskArray::DiskArray(std::size_t disks, const DiskModel& model,
                      std::uint64_t block_size)
     : model_(model), head_(disks, 0) {
   if (disks == 0) throw std::invalid_argument("DiskArray: zero disks");
-  if (model_.rpm == 0 || model_.bandwidth <= 0) {
+  if (model_.rpm == 0 ||
+      !(std::isfinite(model_.bandwidth) && model_.bandwidth > 0)) {
     throw std::invalid_argument("DiskArray: bad disk parameters");
   }
   rotational_delay_ = 0.5 * 60.0 / static_cast<double>(model_.rpm);

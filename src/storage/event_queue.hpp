@@ -1,16 +1,17 @@
 // Global discrete-event queue for the event simulator core.
 //
-// One binary min-heap of whole events: each node carries its own
-// (time, seq) key and payload inline, so a comparison reads the two nodes
-// it compares and a sift moves one hole instead of swapping at each
-// level. Ordering is (time, sequence): sequence numbers are assigned
-// at push, which makes the pop order deterministic for simultaneous events
-// (first posted fires first) and lets the queue assert monotonic virtual
-// time — an event may never be posted before the last popped time.
+// A PackedHeap (storage/packed_heap.hpp) of whole events: each node
+// carries its packed (time, seq) key and its payload inline, so a
+// comparison is one integer compare and a sift moves one hole instead of
+// swapping at each level. Sequence numbers are assigned at push, which
+// makes the pop order deterministic for simultaneous events (first posted
+// fires first) and lets the queue assert monotonic virtual time — an
+// event may never be posted before the last popped time.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+
+#include "storage/packed_heap.hpp"
 
 namespace flo::storage {
 
@@ -40,11 +41,11 @@ class EventQueue {
   std::size_t size() const { return heap_.size(); }
 
   /// Earliest pending time; undefined when empty.
-  double next_time() const { return heap_.front().time; }
+  double next_time() const { return key_time(heap_.top().key); }
 
   /// Schedules an event. `time` must be >= the last popped time (virtual
-  /// time is monotonic); violations throw std::logic_error — an engine bug,
-  /// never a data-dependent condition.
+  /// time is monotonic; a NaN time fails the check too); violations throw
+  /// std::logic_error — an engine bug, never a data-dependent condition.
   void push(double time, EventKind kind, std::uint32_t a = 0,
             std::uint64_t b = 0);
 
@@ -58,16 +59,12 @@ class EventQueue {
 
  private:
   struct Node {
-    double time;
-    std::uint64_t seq;
+    HeapKey key;  ///< pack_key(time, seq)
     std::uint64_t b;
     std::uint32_t a;
     EventKind kind;
   };
-  static bool before(const Node& x, const Node& y) {
-    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
-  }
-  std::vector<Node> heap_;  ///< min-heap by (time, seq)
+  PackedHeap<Node> heap_;
   std::uint64_t next_seq_ = 0;
   double last_popped_ = 0;
   std::size_t max_pending_ = 0;

@@ -1,5 +1,6 @@
 #include "storage/fault_model.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -22,8 +23,9 @@ bool FaultConfig::any_faults() const {
 }
 
 void FaultConfig::validate() const {
+  // Every check is written as "fail unless in range", so NaN fails it.
   const auto check_rate = [](double rate, const char* name) {
-    if (rate < 0 || rate > 1) {
+    if (!(rate >= 0 && rate <= 1)) {
       throw std::invalid_argument(std::string("FaultConfig: ") + name +
                                   " must be in [0, 1]");
     }
@@ -31,15 +33,21 @@ void FaultConfig::validate() const {
   check_rate(storage_transient_rate, "storage_transient_rate");
   check_rate(disk_transient_rate, "disk_transient_rate");
   check_rate(slow_disk_rate, "slow_disk_rate");
-  if (slow_disk_multiplier < 1) {
+  if (!(std::isfinite(slow_disk_multiplier) && slow_disk_multiplier >= 1)) {
     throw std::invalid_argument(
-        "FaultConfig: slow_disk_multiplier must be >= 1");
+        "FaultConfig: slow_disk_multiplier must be finite and >= 1");
   }
-  if (retry_backoff < 0) {
-    throw std::invalid_argument("FaultConfig: retry_backoff must be >= 0");
+  if (!(std::isfinite(retry_backoff) && retry_backoff >= 0)) {
+    throw std::invalid_argument(
+        "FaultConfig: retry_backoff must be finite and >= 0");
   }
   for (const auto& outage : outages) {
-    if (outage.end < outage.start) {
+    if (!(std::isfinite(outage.start) && std::isfinite(outage.end) &&
+          outage.start >= 0)) {
+      throw std::invalid_argument(
+          "FaultConfig: outage times must be finite and >= 0");
+    }
+    if (!(outage.end >= outage.start)) {
       throw std::invalid_argument("FaultConfig: outage ends before it starts");
     }
   }

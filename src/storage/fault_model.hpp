@@ -64,9 +64,11 @@ struct FaultConfig {
   /// True when enabled and at least one knob can actually fire.
   bool any_faults() const;
 
-  /// Throws std::invalid_argument on out-of-range rates, a multiplier
-  /// below 1, or a negative backoff. (Outage node bounds are validated by
-  /// StorageTopology, which knows the node counts.)
+  /// Throws std::invalid_argument on a rate outside [0, 1], a multiplier
+  /// below 1, a negative backoff, a negative outage time or an outage
+  /// ending before it starts; a NaN or infinite value fails every check.
+  /// (Outage node bounds are validated by StorageTopology, which knows
+  /// the node counts.)
   void validate() const;
 
   friend bool operator==(const FaultConfig&, const FaultConfig&) = default;

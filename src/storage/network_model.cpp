@@ -1,12 +1,13 @@
 #include "storage/network_model.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace flo::storage {
 
 NetworkModel::NetworkModel(const LatencyModel& latency,
                            std::uint64_t block_size, double link_bandwidth) {
-  if (link_bandwidth <= 0) {
+  if (!(std::isfinite(link_bandwidth) && link_bandwidth > 0)) {
     throw std::invalid_argument("NetworkModel: bad bandwidth");
   }
   const double wire = static_cast<double>(block_size) / link_bandwidth;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <queue>
 #include <stdexcept>
 
 #include "obs/span.hpp"
@@ -380,7 +379,7 @@ void HierarchySimulator::fill_io(const Request& r, double& t,
 
 std::uint32_t HierarchySimulator::service_extent_bulk(
     std::uint32_t thread, AccessEvent& ev, double& now, double& busy,
-    const ScheduleQueue& queue, SimulationResult& result) {
+    HeapKey budget, SimulationResult& result) {
   if (!extent_batching_ || ev.run_blocks <= 1) return 0;
   const auto& cfg = topology_.config();
   // Anything that makes per-block behaviour state-dependent in ways a run
@@ -392,15 +391,11 @@ std::uint32_t HierarchySimulator::service_extent_bulk(
     return 0;
   }
   // Scheduler budget: the thread keeps servicing blocks inline only while
-  // it would still be popped next, i.e. (clock, id) stays strictly below
-  // the queue's minimum. The queue is untouched during the run, so its top
-  // is a constant bound.
-  const bool bounded = !queue.empty();
-  const double bound_when = bounded ? queue.top().first : 0.0;
-  const std::uint32_t bound_thread = bounded ? queue.top().second : 0;
+  // it would still be scheduled next, i.e. its packed (clock, id) key stays
+  // strictly below every other runnable thread's. No other clock moves
+  // during the run, so the budget is a constant bound.
   const auto within_budget = [&](double at) {
-    return !bounded || at < bound_when ||
-           (at == bound_when && thread < bound_thread);
+    return pack_key(at, thread) < budget;
   };
 
   if (cfg.io_cache_enabled) {
@@ -842,6 +837,9 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
     lane = next_lane.fetch_add(1);
   }
 
+  // Min-clock-first scheduler over packed (clock, thread id) keys
+  // (storage/packed_heap.hpp); empty between phases.
+  PackedHeap<HeapKey> heap;
   for (std::size_t p = 0; p < source.phase_count(); ++p) {
     for (std::uint32_t rep = 0; rep < source.phase_repeat(p); ++rep) {
       // All clocks are barrier-aligned here, so clock[0] is the phase start.
@@ -854,27 +852,29 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
       // extents (AccessEvent::run_blocks) are split here: every block is
       // one scheduling step, so interleaving against other threads is
       // identical to a per-block event stream.
-      ScheduleQueue queue;
       std::vector<CursorPump> pumps;
       pumps.reserve(streams);
       for (std::uint32_t t = 0; t < streams; ++t) {
         pumps.emplace_back(source.open(p, t));
-        if (pumps[t].prime()) queue.push({clock[t], t});
+        if (pumps[t].prime()) heap.push(pack_key(clock[t], t));
       }
-      while (!queue.empty()) {
-        const auto [when, t] = queue.top();
-        queue.pop();
-        double now = when;
+      while (!heap.empty()) {
+        // The running thread stays at the root while it runs; the smallest
+        // key below it is its budget.
+        const HeapKey top = heap.top();
+        const auto t = static_cast<std::uint32_t>(key_low(top));
+        const HeapKey budget = heap.runner_up();
+        double now = key_time(top);
         tenant_switch(t, result);
         // Inline continuation: keep stepping thread t while it would be
-        // popped next anyway ((clock, id) strictly below the queue's
-        // minimum). This reproduces push-then-pop ordering exactly while
-        // skipping a heap operation per block — and is what lets the
-        // extent fast path run a long resident run in one tight loop.
+        // scheduled next anyway (its key strictly below the budget). This
+        // reproduces one-step-per-block ordering exactly while skipping a
+        // heap operation per block — and is what lets the extent fast path
+        // run a long resident run in one tight loop.
         bool finished = false;
         for (;;) {
           AccessEvent& ev = pumps[t].head();
-          if (service_extent_bulk(t, ev, now, busy[t], queue, result) == 0) {
+          if (service_extent_bulk(t, ev, now, busy[t], budget, result) == 0) {
             AccessEvent head = ev;
             head.run_blocks = 1;
             const double dt = service(t, now, head, result);
@@ -889,10 +889,16 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
             finished = true;
             break;
           }
-          if (!queue.empty() && !(ScheduleEntry{now, t} < queue.top())) break;
+          if (!(pack_key(now, t) < budget)) break;
         }
         clock[t] = now;
-        if (!finished) queue.push({now, t});
+        // A stopped thread takes its new key down in one sift; the heap
+        // pops only when the thread's stream ends.
+        if (finished) {
+          heap.pop();
+        } else {
+          heap.replace_top(pack_key(now, t));
+        }
       }
       // Bulk-synchronous barrier between nests / repetitions.
       const double barrier = *std::max_element(clock.begin(), clock.end());

@@ -12,10 +12,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "storage/disk_model.hpp"
@@ -23,6 +21,7 @@
 #include "storage/karma.hpp"
 #include "storage/lru_cache.hpp"
 #include "storage/network_model.hpp"
+#include "storage/packed_heap.hpp"
 #include "storage/policy.hpp"
 #include "storage/sim_core.hpp"
 #include "storage/stats.hpp"
@@ -91,14 +90,9 @@ class HierarchySimulator {
   /// stream, write-back bookkeeping) so either core starts cold.
   void prepare_run(const TraceSource& source);
 
-  /// The clock core: min-clock-first scheduling with inline continuation
-  /// and the extent fast paths.
+  /// The clock core: min-clock-first scheduling over packed (clock,
+  /// thread id) keys, with inline continuation and the extent fast paths.
   SimulationResult run_clock(const TraceSource& source);
-  /// Min-clock-first scheduler order: (virtual clock, thread id).
-  using ScheduleEntry = std::pair<double, std::uint32_t>;
-  using ScheduleQueue =
-      std::priority_queue<ScheduleEntry, std::vector<ScheduleEntry>,
-                          std::greater<ScheduleEntry>>;
 
   /// Services one single-block request (`event.run_blocks` is ignored;
   /// run() splits extents before calling) issued by `thread` at virtual
@@ -110,16 +104,16 @@ class HierarchySimulator {
 
   /// Extent fast path: services as many leading blocks of `ev` as stay
   /// within (a) a bulk-eligible flow — a resident I/O-cache run, or a
-  /// cache-less disk stream — and (b) the scheduler budget (the thread
-  /// must remain the strict (clock, id) minimum against `queue`).
+  /// cache-less disk stream — and (b) the scheduler budget (the thread's
+  /// packed (clock, id) key must stay strictly below `budget`, the
+  /// smallest key of every other runnable thread).
   /// Advances `now`, `busy` and `ev` in place and returns the number of
   /// blocks consumed; 0 means the head block must take the per-block
   /// reference path. Charged times and recorded stats are bit-identical
   /// to servicing each block through service().
   std::uint32_t service_extent_bulk(std::uint32_t thread, AccessEvent& ev,
                                     double& now, double& busy,
-                                    const ScheduleQueue& queue,
-                                    SimulationResult& result);
+                                    HeapKey budget, SimulationResult& result);
 
   /// Settles disk heads and read counts for the blocks [first, first +
   /// len) of `file` after a cache-less sequential run charged them pure

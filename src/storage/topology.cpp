@@ -1,5 +1,6 @@
 #include "storage/topology.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -47,6 +48,23 @@ StorageTopology::StorageTopology(TopologyConfig config)
     throw std::invalid_argument(
         "StorageTopology: cache smaller than one block");
   }
+  // Timing inputs: every charge a core adds to a virtual clock must be a
+  // finite non-negative number (the packed scheduler keys rely on it).
+  const auto check_time = [](double seconds, const char* name) {
+    if (!(std::isfinite(seconds) && seconds >= 0)) {
+      throw std::invalid_argument(std::string("StorageTopology: ") + name +
+                                  " must be finite and >= 0");
+    }
+  };
+  const LatencyModel& latency = config_.latency;
+  check_time(latency.cpu_per_element, "latency.cpu_per_element");
+  check_time(latency.net_compute_io, "latency.net_compute_io");
+  check_time(latency.io_cache_hit, "latency.io_cache_hit");
+  check_time(latency.net_io_storage, "latency.net_io_storage");
+  check_time(latency.storage_cache_hit, "latency.storage_cache_hit");
+  check_time(latency.demotion_cost, "latency.demotion_cost");
+  check_time(config_.disk.min_seek, "disk.min_seek");
+  check_time(config_.disk.max_seek, "disk.max_seek");
   config_.fault.validate();
   for (const auto& outage : config_.fault.outages) {
     const std::size_t nodes = outage.layer == FaultLayer::kIo

@@ -113,7 +113,11 @@ struct TopologyConfig {
                                       std::uint64_t block_scale = 64);
 };
 
-/// Validated topology with derived routing helpers.
+/// Validated topology with derived routing helpers. The constructor
+/// throws std::invalid_argument on a config no run could use: zero node
+/// counts or block size, node counts that do not nest, a cache smaller than
+/// one block, a negative or non-finite latency or seek time, an invalid
+/// FaultConfig, or an outage on a node that does not exist.
 class StorageTopology {
  public:
   StorageTopology() = default;

@@ -12,13 +12,17 @@
 // seed + iters + oracle set reproduces the same cases and verdicts.
 //
 // Exit codes: 0 all oracles held, 1 at least one failure (or a harness
-// error), 2 usage.
+// error), 2 usage (an unknown flag, or a count that is not a whole string
+// of decimal digits).
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "testing/harness.hpp"
 #include "testing/oracles.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -28,6 +32,16 @@ int usage(const char* argv0) {
                " [--repro-dir DIR] [--no-shrink] [--huge-every N]"
                " [--list-oracles]\n";
   return 2;
+}
+
+/// A count flag's value: a whole string of decimal digits, or a
+/// diagnostic naming the flag and exit 2 (a typo must not become 0).
+std::uint64_t count_value(const std::string& flag, const std::string& value) {
+  const std::optional<std::uint64_t> v = flo::util::parse_decimal_u64(value);
+  if (v) return *v;
+  std::cerr << "flo_fuzz: " << flag << ": want a non-negative integer, got '"
+            << value << "'\n";
+  std::exit(2);
 }
 
 /// Accepts both `--key value` and `--key=value` spellings.
@@ -64,9 +78,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (take_value(arg, "--seed", argc, argv, i, value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      options.seed = count_value("--seed", value);
     } else if (take_value(arg, "--iters", argc, argv, i, value)) {
-      options.iters = std::strtoull(value.c_str(), nullptr, 10);
+      options.iters = count_value("--iters", value);
     } else if (take_value(arg, "--oracle", argc, argv, i, value)) {
       options.oracle_glob = value;
     } else if (take_value(arg, "--log", argc, argv, i, value)) {
@@ -74,7 +88,7 @@ int main(int argc, char** argv) {
     } else if (take_value(arg, "--repro-dir", argc, argv, i, value)) {
       options.repro_dir = value;
     } else if (take_value(arg, "--huge-every", argc, argv, i, value)) {
-      options.huge_every = std::strtoull(value.c_str(), nullptr, 10);
+      options.huge_every = count_value("--huge-every", value);
     } else {
       return usage(argv[0]);
     }

@@ -25,10 +25,10 @@
 //
 // Malformed programs produce a compiler-style `file:line: message`
 // diagnostic and exit code 2; other failures exit 1.
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -40,6 +40,7 @@
 #include "storage/fault_model.hpp"
 #include "storage/qos.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -57,12 +58,10 @@ int usage(const char* argv0) {
 /// Strict positive integer, the rule bench_common.hpp applies to
 /// FLO_WORKERS: digits only (no sign), nothing after them, in range, > 0.
 bool parse_thread_count(const char* text, std::size_t& out) {
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE || value == 0) return false;
-  out = static_cast<std::size_t>(value);
+  const std::optional<std::uint64_t> value =
+      flo::util::parse_decimal_u64(text);
+  if (!value || *value == 0) return false;
+  out = static_cast<std::size_t>(*value);
   return true;
 }
 

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -32,6 +33,7 @@
 #include "service/server.hpp"
 #include "storage/qos.hpp"
 #include "storage/sim_core.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -51,13 +53,9 @@ class ConfigError : public std::runtime_error {
 
 std::uint64_t parse_u64(const std::string& source, const std::string& value) {
   if (value.empty()) throw ConfigError(source, "empty value");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size() || value[0] == '-') {
-    throw ConfigError(source, "malformed integer '" + value + "'");
-  }
-  return static_cast<std::uint64_t>(v);
+  const std::optional<std::uint64_t> v = flo::util::parse_decimal_u64(value);
+  if (!v) throw ConfigError(source, "malformed integer '" + value + "'");
+  return *v;
 }
 
 double parse_nonneg(const std::string& source, const std::string& value) {

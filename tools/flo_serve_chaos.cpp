@@ -48,6 +48,7 @@
 #include "testing/emit.hpp"
 #include "testing/generator.hpp"
 #include "util/framing.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -360,11 +361,20 @@ int parse_cli(int argc, char** argv, Options& options) {
       }
       return argv[++i];
     };
+    // A count is a whole string of decimal digits; a typo exits 2 rather
+    // than running as 0.
+    const auto count = [&]() -> std::uint64_t {
+      const std::string text = value();
+      if (const auto v = util::parse_decimal_u64(text)) return *v;
+      std::cerr << "chaos: " << arg << ": want a non-negative integer, got '"
+                << text << "'\n";
+      std::exit(2);
+    };
     if (arg == "--server") options.server_binary = value();
-    else if (arg == "--seed") options.seed = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--clients") options.clients = std::strtoul(value().c_str(), nullptr, 10);
-    else if (arg == "--tenants") options.tenants = std::strtoul(value().c_str(), nullptr, 10);
-    else if (arg == "--requests") options.requests = std::strtoul(value().c_str(), nullptr, 10);
+    else if (arg == "--seed") options.seed = count();
+    else if (arg == "--clients") options.clients = count();
+    else if (arg == "--tenants") options.tenants = count();
+    else if (arg == "--requests") options.requests = count();
     else if (arg == "--no-kill") options.kill = false;
     else if (arg == "--dir") options.dir = value();
     else {
