@@ -13,16 +13,6 @@ namespace flo::core {
 
 namespace {
 
-void append_bytes(std::string& key, const void* data, std::size_t size) {
-  key.append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void append_value(std::string& key, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  append_bytes(key, &value, sizeof(value));
-}
-
 // --- journal line escaping -------------------------------------------------
 // Rendered bodies are multi-line transform-plan text; journal lines are
 // newline-delimited. Percent-encode the three bytes that would break the

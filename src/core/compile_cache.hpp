@@ -32,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/experiment.hpp"
@@ -46,6 +47,14 @@ std::uint64_t fnv1a(std::string_view bytes);
 
 /// 16-hex-digit rendering of a 64-bit fingerprint.
 std::string hex16(std::uint64_t value);
+
+/// Appends the raw bytes of one trivially copyable value to a key byte
+/// string. Shared by compile fingerprints and the engine's journal keys.
+template <typename T>
+void append_value(std::string& key, const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
 
 /// Appends every TopologyConfig field (individually — the struct may
 /// contain padding) to a key byte string. Shared by compile fingerprints

@@ -26,16 +26,6 @@ namespace flo::core {
 
 namespace {
 
-void append_bytes(std::string& key, const void* data, std::size_t size) {
-  key.append(static_cast<const char*>(data), size);
-}
-
-template <typename T>
-void append_value(std::string& key, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  append_bytes(key, &value, sizeof(value));
-}
-
 /// Journal identity of a cell: the label, the program's CONTENT
 /// fingerprint, and every config field that can influence its result.
 /// Unlike compile_key it must be stable across processes, so the program
@@ -72,7 +62,7 @@ std::string journal_key(const ExperimentJob& job,
 // --- checkpoint journal ----------------------------------------------------
 // Text file, one completed cell per line after a version-tag header:
 //   flo-journal-v2 <grid-hash>
-//   <key> <profiler_runs> sim-v1 <SimulationResult wire fields>
+//   <key> <profiler_runs> sim-v5 <SimulationResult wire fields>
 // where <key> is the 16-hex-digit journal_key and <grid-hash> fingerprints
 // the sorted key set of the grid that wrote the file. Every update rewrites
 // the whole file through atomic_write_file (tmp + fsync + rename), so a
@@ -91,7 +81,6 @@ std::string journal_key(const ExperimentJob& job,
 // absent cells — the run recomputes them.
 
 constexpr const char* kJournalTag = "flo-journal-v2";
-constexpr const char* kJournalTagV1 = "flo-journal-v1";
 constexpr const char* kJournalPrefix = "flo-journal-";
 
 class Journal {

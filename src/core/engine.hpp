@@ -48,6 +48,9 @@ class TransientError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Every field has a default member initializer, so `EngineOptions{4}`
+/// names only the leading fields it sets and still compiles clean under
+/// -Wextra's -Wmissing-field-initializers.
 struct EngineOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t workers = 0;
@@ -60,7 +63,7 @@ struct EngineOptions {
   /// behaviour); a long-lived caller — the flo_serve daemon — passes its
   /// own so compilations dedup across submissions. Keys fingerprint
   /// program CONTENT, so sharing one cache across unrelated grids is safe.
-  std::shared_ptr<CompileCache> compile_cache;
+  std::shared_ptr<CompileCache> compile_cache{};
   /// Extra attempts granted to a cell that throws TransientError; other
   /// exceptions (and wall-clock timeouts) fail the cell immediately.
   std::uint32_t max_retries = 0;
@@ -84,10 +87,10 @@ struct EngineOptions {
   /// stale results. Only the simulation half is journaled: resumed cells
   /// carry an empty transform plan (ExperimentResult::plan), which no grid
   /// consumer inspects.
-  std::string journal_path;
+  std::string journal_path{};
   /// Test hook: when set, replaces the compile+simulate step entirely.
   /// Used by the fault-tolerance tests to inject crashing/hanging cells.
-  std::function<ExperimentResult(const ExperimentJob&)> runner;
+  std::function<ExperimentResult(const ExperimentJob&)> runner{};
 };
 
 /// Outcome of one guarded cell. Exactly one of these holds per job, in

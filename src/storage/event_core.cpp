@@ -1,15 +1,41 @@
 #include "storage/event_core.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 
 namespace flo::storage {
 
-EventEngine::EventEngine(HierarchySimulator& sim) : sim_(sim) {}
+EventEngine::EventEngine(HierarchySimulator& sim, RunState& run)
+    : sim_(sim), run_(run), result_(run.result) {
+  const auto& cfg = sim_.topology_.config();
+  // The closed-form phase path is exact only when nothing is
+  // state-dependent per block: no cache (either level), no fault decision
+  // stream, no write-back marking, no KARMA range classes. These are the
+  // same exclusions the clock core's extent fast path makes, minus the
+  // scheduler budget — which a single stream never contends for.
+  analytic_ = !cfg.io_cache_enabled && !cfg.storage_cache_enabled &&
+              !sim_.faults_.enabled() && !cfg.model_writes &&
+              sim_.policy_ != PolicyKind::kKarma;
+  req_.assign(run_.clock.size(), Request{});
+  io_.assign(cfg.io_nodes, Server{});
+  storage_.assign(cfg.storage_nodes, Server{});
+  disk_.assign(cfg.storage_nodes, DiskState{});
+  // Disk scheduling policy: QosConfig selects it; disabled QoS keeps the
+  // default-constructed LOOK scheduler (bit-identical to the original
+  // inline elevator).
+  if (cfg.qos.enabled) {
+    for (DiskState& d : disk_) {
+      d.sched = DiskScheduler(cfg.qos.scheduler, cfg.qos.sched_window);
+    }
+  }
+  if (obs::enabled()) {
+    auto& reg = obs::registry();
+    io_depth_gauge_ = &reg.gauge("sim.event.queue_depth.io");
+    storage_depth_gauge_ = &reg.gauge("sim.event.queue_depth.storage");
+    disk_depth_gauge_ = &reg.gauge("sim.event.queue_depth.disk");
+  }
+}
 
 void EventEngine::note_depth(obs::Gauge* gauge, std::size_t depth) {
   if (gauge) gauge->set(static_cast<std::int64_t>(depth));
@@ -40,29 +66,17 @@ bool EventEngine::next_waiter(Server& server, QueueLayerStats& layer,
   charge_wait(layer, now - req_[thread].arrival);
   note_depth(gauge, server.wait.size());
   // The drained waiter's lookups/hits belong to its own tenant.
-  sim_.tenant_switch(thread, result_);
+  sim_.attribute(thread, result_);
   return true;
 }
 
-bool EventEngine::analytic_eligible() const {
-  // The closed-form phase path is exact only when nothing is
-  // state-dependent per block: no cache (either level), no fault decision
-  // stream, no write-back marking, no KARMA range classes. These are the
-  // same exclusions the clock core's extent fast path makes, minus the
-  // scheduler budget — which a single stream never contends for.
-  const auto& cfg = sim_.topology_.config();
-  return !cfg.io_cache_enabled && !cfg.storage_cache_enabled &&
-         !sim_.faults_.enabled() && !cfg.model_writes &&
-         sim_.policy_ != PolicyKind::kKarma;
-}
-
 void EventEngine::run_phase_analytic(std::uint32_t thread) {
-  sim_.tenant_switch(thread, result_);
-  CursorPump& pump = pumps_[thread];
+  sim_.attribute(thread, result_);
+  CursorPump& pump = run_.pumps[thread];
   const auto& cfg = sim_.topology_.config();
   const std::uint32_t cycle =
       static_cast<std::uint32_t>(sim_.striping_.storage_nodes());
-  double now = clock_[thread];
+  double now = run_.clock[thread];
   double busy_acc = 0;
   do {
     AccessEvent& ev = pump.head();
@@ -100,12 +114,12 @@ void EventEngine::run_phase_analytic(std::uint32_t thread) {
     result_.elements += ev.element_count * run;
     result_.disk_reads += run;
   } while (pump.refill());
-  clock_[thread] = now;
-  busy_[thread] += busy_acc;
+  run_.clock[thread] = now;
+  run_.busy[thread] += busy_acc;
 }
 
 void EventEngine::issue_block(std::uint32_t thread, double now) {
-  AccessEvent& ev = pumps_[thread].head();
+  AccessEvent& ev = run_.pumps[thread].head();
   Request& r = req_[thread];
   const double front = sim_.begin_request(thread, now, ev, r, result_);
   // Consume the block from the buffered extent (run_blocks == 0 degrades
@@ -204,7 +218,7 @@ void EventEngine::enqueue_disk(std::uint32_t thread, double now) {
     return;
   }
   r.arrival = now;
-  d.sched.push(r.lba, thread, now, sim_.qos_priority_of_thread(thread));
+  d.sched.push(r.lba, thread, now, sim_.partitioner_.priority(thread));
   result_.queue.disk.max_depth =
       std::max<std::uint64_t>(result_.queue.disk.max_depth, d.sched.size());
   note_depth(disk_depth_gauge_, d.sched.size());
@@ -259,106 +273,42 @@ void EventEngine::finish(std::uint32_t thread, double now) {
   if (r.route == Route::kIo) {
     // A drain loop in the caller may have switched attribution to a
     // waiter; the fill belongs to the completing request's tenant.
-    sim_.tenant_switch(thread, result_);
+    sim_.attribute(thread, result_);
     sim_.fill_io(r, now, result_);
   }
   complete(thread, now);
 }
 
 void EventEngine::complete(std::uint32_t thread, double now) {
-  busy_[thread] += now - req_[thread].issue;
-  clock_[thread] = now;
-  CursorPump& pump = pumps_[thread];
+  run_.busy[thread] += now - req_[thread].issue;
+  run_.clock[thread] = now;
+  CursorPump& pump = run_.pumps[thread];
   if (pump.exhausted() && !pump.refill()) return;  // stream drained
   queue_.push(now, EventKind::kThreadIssue, thread);
 }
 
-SimulationResult EventEngine::run(const TraceSource& source) {
-  const std::size_t threads = sim_.io_node_of_thread_.size();
-  const std::size_t streams = source.thread_count();
-  const auto& cfg = sim_.topology_.config();
-  result_ = SimulationResult{};
-  if (sim_.tenants_enabled()) result_.tenants.resize(sim_.tenant_count_);
-  clock_.assign(threads, 0.0);
-  busy_.assign(threads, 0.0);
-  req_.assign(threads, Request{});
-  io_.assign(cfg.io_nodes, Server{});
-  storage_.assign(cfg.storage_nodes, Server{});
-  disk_.assign(cfg.storage_nodes, DiskState{});
-  // Disk scheduling policy: QosConfig selects it; disabled QoS keeps the
-  // default-constructed LOOK scheduler (bit-identical to the PR 6 inline
-  // elevator).
-  if (cfg.qos.enabled) {
-    for (DiskState& d : disk_) {
-      d.sched = DiskScheduler(cfg.qos.scheduler, cfg.qos.sched_window);
+void EventEngine::run_phase() {
+  if (analytic_ && run_.active.size() <= 1) {
+    // Closed-form fast path: no contention is possible, so the event
+    // machinery would only re-derive the clock core's sums per block.
+    if (!run_.active.empty()) run_phase_analytic(run_.active.front());
+    return;
+  }
+  for (std::uint32_t t : run_.active) {
+    queue_.push(run_.clock[t], EventKind::kThreadIssue, t);
+  }
+  while (!queue_.empty()) {
+    const Event e = queue_.pop();
+    sim_.attribute(e.a, result_);
+    switch (e.kind) {
+      case EventKind::kThreadIssue: issue_block(e.a, e.time); break;
+      case EventKind::kIoArrive: arrive_io(e.a, e.time); break;
+      case EventKind::kIoDone: io_done(e.a, e.time); break;
+      case EventKind::kStorageArrive: arrive_storage(e.a, e.time); break;
+      case EventKind::kStorageDone: storage_done(e.a, e.time); break;
+      case EventKind::kDiskDone: disk_done(e.a, e.time); break;
     }
   }
-
-  const bool tracing = obs::enabled();
-  std::uint32_t lane = 0;
-  if (tracing) {
-    static std::atomic<std::uint32_t> next_lane{0};
-    lane = next_lane.fetch_add(1);
-    auto& reg = obs::registry();
-    io_depth_gauge_ = &reg.gauge("sim.event.queue_depth.io");
-    storage_depth_gauge_ = &reg.gauge("sim.event.queue_depth.storage");
-    disk_depth_gauge_ = &reg.gauge("sim.event.queue_depth.disk");
-  }
-
-  const bool analytic = analytic_eligible();
-  for (std::size_t p = 0; p < source.phase_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < source.phase_repeat(p); ++rep) {
-      const double phase_start = clock_.empty() ? 0.0 : clock_[0];
-      pumps_.clear();
-      pumps_.reserve(streams);
-      std::vector<std::uint32_t> active;
-      for (std::uint32_t t = 0; t < streams; ++t) {
-        pumps_.emplace_back(source.open(p, t));
-        if (pumps_[t].prime()) active.push_back(t);
-      }
-      if (analytic && active.size() <= 1) {
-        // Closed-form fast path: no contention is possible, so the event
-        // machinery would only re-derive the clock core's sums per block.
-        if (!active.empty()) run_phase_analytic(active.front());
-      } else {
-        for (std::uint32_t t : active) {
-          queue_.push(clock_[t], EventKind::kThreadIssue, t);
-        }
-        while (!queue_.empty()) {
-          const Event e = queue_.pop();
-          sim_.tenant_switch(e.a, result_);
-          switch (e.kind) {
-            case EventKind::kThreadIssue: issue_block(e.a, e.time); break;
-            case EventKind::kIoArrive: arrive_io(e.a, e.time); break;
-            case EventKind::kIoDone: io_done(e.a, e.time); break;
-            case EventKind::kStorageArrive: arrive_storage(e.a, e.time); break;
-            case EventKind::kStorageDone: storage_done(e.a, e.time); break;
-            case EventKind::kDiskDone: disk_done(e.a, e.time); break;
-          }
-        }
-      }
-      // Bulk-synchronous barrier between nests / repetitions.
-      const double barrier =
-          clock_.empty() ? 0.0
-                         : *std::max_element(clock_.begin(), clock_.end());
-      for (auto& c : clock_) c = barrier;
-      if (tracing) {
-        obs::record_virtual_span("sim.phase", "sim", lane, phase_start,
-                                 barrier - phase_start,
-                                 {{"phase", std::to_string(p)},
-                                  {"rep", std::to_string(rep)},
-                                  {"core", "event"}});
-      }
-    }
-  }
-
-  result_.exec_time =
-      clock_.empty() ? 0.0
-                     : *std::max_element(clock_.begin(), clock_.end());
-  result_.thread_time = busy_;
-  sim_.tenant_finish(result_);
-  sim_.settle_trailing_writebacks(result_);
-  return result_;
 }
 
 }  // namespace flo::storage

@@ -45,12 +45,16 @@ namespace flo::storage {
 
 class EventEngine {
  public:
-  /// Borrows the simulator's caches, disks, striping and fault plan; the
-  /// simulator must outlive the engine. prepare_run() must already have
-  /// reset the shared state (HierarchySimulator::run does both).
-  explicit EventEngine(HierarchySimulator& sim);
+  using RunState = HierarchySimulator::RunState;
 
-  SimulationResult run(const TraceSource& source);
+  /// Borrows the simulator's caches, disks, striping and fault plan, and
+  /// the run state of HierarchySimulator::run, which owns both, has reset
+  /// the shared state, and drives the phases.
+  EventEngine(HierarchySimulator& sim, RunState& run);
+
+  /// Runs the current phase to its end: every primed stream of `run`
+  /// issues until drained. The caller aligns the clocks at the barrier.
+  void run_phase();
 
  private:
   using Request = HierarchySimulator::Request;
@@ -81,7 +85,6 @@ class EventEngine {
   /// charges the steady per-block cost in one multiplication — O(extents)
   /// instead of O(blocks), with identical integer stats.
   void run_phase_analytic(std::uint32_t thread);
-  bool analytic_eligible() const;
 
   void issue_block(std::uint32_t thread, double now);
   void arrive_io(std::uint32_t thread, double now);
@@ -112,12 +115,11 @@ class EventEngine {
   void charge_wait(QueueLayerStats& layer, double waited);
 
   HierarchySimulator& sim_;
-  SimulationResult result_;
+  RunState& run_;  ///< clocks are per-thread completion clocks
+  SimulationResult& result_;  ///< run_.result
+  bool analytic_ = false;     ///< run_phase_analytic applies
   EventQueue queue_;
-  std::vector<CursorPump> pumps_;
-  std::vector<Request> req_;     ///< indexed by thread
-  std::vector<double> clock_;    ///< per-thread completion clocks
-  std::vector<double> busy_;     ///< per-thread busy time
+  std::vector<Request> req_;  ///< indexed by thread
 
   std::vector<Server> io_;       ///< one per I/O node
   std::vector<Server> storage_;  ///< one per storage node

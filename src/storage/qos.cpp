@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
+
+#include "storage/lru_cache.hpp"
+#include "storage/tenant_ledger.hpp"
+#include "storage/topology.hpp"
 
 namespace flo::storage {
 
@@ -166,6 +169,51 @@ QosConfig qos_config_from_env(QosConfig fallback) {
   return config;
 }
 
+namespace {
+
+/// Largest-remainder split of `amount` units by `weights`: each entry gets
+/// floor(amount * weight / total) but at least `floor` (static quotas: one
+/// block; the dynamic slack: none), and the leftover units go to the
+/// largest remainders, ties to the lower index. Deterministic.
+std::vector<std::size_t> apportion(std::size_t amount,
+                                   const std::vector<std::uint64_t>& weights,
+                                   std::size_t floor) {
+  std::vector<std::size_t> out(weights.size(), 0);
+  std::uint64_t total = 0;
+  for (std::uint64_t w : weights) total += w;
+  if (total == 0) throw std::invalid_argument("apportion: zero total weight");
+  std::vector<std::pair<std::uint64_t, std::size_t>> remainder(weights.size());
+  std::size_t granted = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const std::uint64_t scaled = static_cast<std::uint64_t>(amount) * weights[i];
+    out[i] = std::max(floor, static_cast<std::size_t>(scaled / total));
+    remainder[i] = {scaled % total, i};
+    granted += out[i];
+  }
+  // The floor can overshoot a tiny amount: shave the largest entries
+  // (lowest index first among equals) until the sum fits.
+  while (granted > amount) {
+    std::size_t richest = 0;
+    for (std::size_t i = 1; i < out.size(); ++i) {
+      if (out[i] > out[richest]) richest = i;
+    }
+    --out[richest];
+    --granted;
+  }
+  std::sort(remainder.begin(), remainder.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  for (std::size_t i = 0; granted < amount; ++i) {
+    ++out[remainder[i % remainder.size()].second];
+    ++granted;
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::size_t> quota_partition(
     std::size_t capacity, std::size_t tenants,
     const std::vector<std::uint32_t>& shares) {
@@ -179,46 +227,136 @@ std::vector<std::size_t> quota_partition(
         "quota_partition: capacity smaller than tenant count");
   }
   std::vector<std::uint64_t> weight(tenants, 1);
-  std::uint64_t total = 0;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    if (!shares.empty()) weight[t] = shares[t];
-    total += weight[t];
+  if (!shares.empty()) {
+    std::copy_n(shares.begin(), tenants, weight.begin());
   }
-  // Largest-remainder apportionment with a one-block floor: every tenant
-  // is granted floor(capacity * weight / total) (at least 1), then the
-  // leftover blocks go to the largest fractional remainders, ties broken
-  // by lower tenant id — fully deterministic.
-  std::vector<std::size_t> quota(tenants, 0);
-  std::vector<std::pair<std::uint64_t, std::size_t>> remainder(tenants);
-  std::size_t granted = 0;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    const std::uint64_t scaled =
-        static_cast<std::uint64_t>(capacity) * weight[t];
-    quota[t] = std::max<std::size_t>(
-        1, static_cast<std::size_t>(scaled / total));
-    remainder[t] = {scaled % total, t};
-    granted += quota[t];
-  }
-  // The one-block floor can overshoot tiny capacities: shave the largest
-  // quotas (lowest id first among equals) until the sum fits.
-  while (granted > capacity) {
-    std::size_t richest = 0;
-    for (std::size_t t = 1; t < tenants; ++t) {
-      if (quota[t] > quota[richest]) richest = t;
+  return apportion(capacity, weight, 1);
+}
+
+void QosPartitioner::arm(const StorageTopology& topology, bool karma,
+                         const TenantLedger& ledger,
+                         std::vector<LruCache>& io_caches,
+                         std::vector<LruCache>& storage_caches) {
+  const QosConfig& qos = topology.config().qos;
+  *this = QosPartitioner{};
+  if (qos.enabled && !qos.priorities.empty()) {
+    for (std::uint32_t tenant : ledger.tenant_of_thread()) {
+      priority_.push_back(
+          tenant < qos.priorities.size() ? qos.priorities[tenant] : 1);
     }
-    --quota[richest];
-    --granted;
   }
-  std::sort(remainder.begin(), remainder.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first > b.first
-                                        : a.second < b.second;
-            });
-  for (std::size_t i = 0; granted < capacity; ++i) {
-    ++quota[remainder[i % tenants].second];
-    ++granted;
+  active_ = qos.enabled && !qos.shares.empty() && ledger.enabled() && !karma;
+  if (!active_) {
+    for (auto& c : io_caches) c.set_partitions({});
+    for (auto& c : storage_caches) c.set_partitions({});
+    return;
   }
-  return quota;
+  qos.validate();
+  tenants_ = ledger.tenant_count();
+  if (qos.shares.size() < tenants_) {
+    throw std::invalid_argument("QosPartitioner: fewer QoS shares than tenants");
+  }
+  io_quota_ = quota_partition(topology.io_cache_blocks(), tenants_, qos.shares);
+  storage_quota_ =
+      quota_partition(topology.storage_cache_blocks(), tenants_, qos.shares);
+  for (auto& c : io_caches) c.set_partitions(io_quota_);
+  for (auto& c : storage_caches) c.set_partitions(storage_quota_);
+  prev_misses_.assign(tenants_, 0);
+  occ_.assign(tenants_, 0);
+  epoch_ = qos.epoch_accesses;
+  if (qos.dynamic_shares) epoch_next_ = epoch_;
+}
+
+void QosPartitioner::note_insert(std::uint32_t owner, bool was_resident,
+                                 bool evicted,
+                                 std::uint64_t TenantStats::*evictions,
+                                 std::vector<TenantStats>& tenants) {
+  if (evicted) {
+    // The victim came from the owner's own partition, so net occupancy is
+    // unchanged and the eviction is the owner's — that is the attribution
+    // guarantee partitioning buys.
+    if (owner < tenants.size()) ++(tenants[owner].*evictions);
+  } else if (!was_resident && owner < occ_.size()) {
+    std::uint64_t& peak = tenants[owner].occupancy_peak;
+    peak = std::max(peak, ++occ_[owner]);
+  }
+}
+
+bool QosPartitioner::erase(LruCache& cache, BlockKey key) {
+  if (active_) {
+    const std::optional<std::uint32_t> owner = cache.owner_of(key);
+    if (owner && *owner < occ_.size() && occ_[*owner] > 0) --occ_[*owner];
+  }
+  return cache.erase(key);
+}
+
+std::vector<QosPartitioner::Trimmed> QosPartitioner::rebalance(
+    std::uint64_t accesses, std::vector<TenantStats>& tenants,
+    std::vector<LruCache>& io_caches, std::vector<LruCache>& storage_caches) {
+  while (epoch_next_ <= accesses) epoch_next_ += epoch_;
+  // The marginal-gain signal: misses suffered during this epoch, per
+  // tenant — the same observed-pressure signal KARMA uses per range
+  // class, applied to capacity shares.
+  std::vector<std::uint64_t> gain(tenants_, 0);
+  std::uint64_t total_gain = 0;
+  for (std::uint32_t t = 0; t < tenants_; ++t) {
+    const TenantStats& s = tenants[t];
+    const std::uint64_t misses = (s.io_lookups - s.io_hits) +
+                                 (s.storage_lookups - s.storage_hits);
+    gain[t] = misses - prev_misses_[t];
+    prev_misses_[t] = misses;
+    total_gain += gain[t];
+  }
+  if (total_gain == 0) return {};  // no pressure anywhere: keep the quotas
+
+  // Guaranteed floor: half the static quota (at least one block). The
+  // slack above the floors is what the epoch's miss pressure contends for.
+  // Every cache of a level has the capacity its static quotas sum to.
+  const auto rebalanced = [&](const std::vector<std::size_t>& statiq) {
+    std::vector<std::size_t> quota(tenants_);
+    std::size_t capacity = 0;
+    std::size_t floored = 0;
+    for (std::uint32_t t = 0; t < tenants_; ++t) {
+      capacity += statiq[t];
+      quota[t] = std::max<std::size_t>(1, statiq[t] / 2);
+      floored += quota[t];
+    }
+    if (floored >= capacity) return statiq;  // degenerate tiny cache
+    const std::vector<std::size_t> extra =
+        apportion(capacity - floored, gain, 0);
+    for (std::uint32_t t = 0; t < tenants_; ++t) quota[t] += extra[t];
+    return quota;
+  };
+
+  // Applies one level's new quotas, shrinking before growing. The trimmed
+  // tenant was just ruled over-provisioned, so its victims are evicted,
+  // never re-inserted below.
+  std::vector<Trimmed> trimmed;
+  const auto trim = [&](std::vector<LruCache>& caches,
+                        const std::vector<std::size_t>& statiq, bool storage,
+                        std::uint64_t TenantStats::*evictions) {
+    const std::vector<std::size_t> quota = rebalanced(statiq);
+    for (std::size_t i = 0; i < caches.size(); ++i) {
+      LruCache& cache = caches[i];
+      for (std::uint32_t t = 0; t < tenants_; ++t) {
+        if (quota[t] >= cache.partition_quota(t)) continue;
+        for (BlockKey victim : cache.set_partition_quota(t, quota[t])) {
+          if (t < tenants.size()) ++(tenants[t].*evictions);
+          if (occ_[t] > 0) --occ_[t];
+          trimmed.push_back(
+              {storage, static_cast<std::uint32_t>(i), victim.packed()});
+        }
+      }
+      for (std::uint32_t t = 0; t < tenants_; ++t) {
+        if (quota[t] > cache.partition_quota(t)) {
+          cache.set_partition_quota(t, quota[t]);
+        }
+      }
+    }
+  };
+  trim(io_caches, io_quota_, false, &TenantStats::io_evictions);
+  trim(storage_caches, storage_quota_, true, &TenantStats::storage_evictions);
+  return trimmed;
 }
 
 }  // namespace flo::storage

@@ -1,4 +1,5 @@
-// Tenant quality-of-service configuration (DESIGN.md §4k).
+// Tenant quality-of-service configuration and its per-run cache
+// partitioner (DESIGN.md §4k).
 //
 // A QosConfig rides in TopologyConfig the way FaultConfig does: disabled by
 // default, and a disabled config takes the exact pre-QoS simulator paths,
@@ -26,6 +27,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "storage/stats.hpp"
 
 namespace flo::storage {
 
@@ -110,5 +113,77 @@ QosConfig qos_config_from_env(QosConfig fallback = {});
 std::vector<std::size_t> quota_partition(std::size_t capacity,
                                          std::size_t tenants,
                                          const std::vector<std::uint32_t>& shares);
+
+class LruCache;
+class StorageTopology;
+class TenantLedger;
+struct BlockKey;
+
+/// The QoS state of one simulator run: the per-tenant partitions of every
+/// cache, their dynamic-share rebalancing, per-tenant occupancy, and each
+/// thread's disk-scheduling priority. It books the QoS-only TenantStats
+/// fields (evictions, occupancy peak); every aggregate counter is the
+/// simulator's.
+class QosPartitioner {
+ public:
+  /// A block the rebalancer trimmed from a shrinking partition.
+  struct Trimmed {
+    bool storage = false;     ///< storage level (else I/O level)
+    std::uint32_t cache = 0;  ///< node index of the cache within its level
+    std::uint64_t key = 0;    ///< BlockKey::packed()
+  };
+
+  /// Starts a run on freshly cleared caches. Partitioning is active when
+  /// qos.enabled, qos.shares is non-empty, the ledger is armed and the
+  /// policy is not KARMA (whose range classes already partition capacity):
+  /// every cache is then carved by the static quotas, else returned to one
+  /// global LRU, undoing an earlier run's partitions. Throws
+  /// std::invalid_argument on an invalid QosConfig or too few shares.
+  void arm(const StorageTopology& topology, bool karma,
+           const TenantLedger& ledger, std::vector<LruCache>& io_caches,
+           std::vector<LruCache>& storage_caches);
+
+  bool active() const { return active_; }
+
+  /// Disk-scheduling priority of a thread's tenant (>= 1; 1 when QoS or
+  /// tenancy is off, or no priority vector was given).
+  std::uint32_t priority(std::uint32_t thread) const {
+    return thread < priority_.size() ? priority_[thread] : 1;
+  }
+
+  /// Books one partitioned insert charged to `owner`: its eviction
+  /// (`evictions` names the level's counter), or its new resident block.
+  void note_insert(std::uint32_t owner, bool was_resident, bool evicted,
+                   std::uint64_t TenantStats::*evictions,
+                   std::vector<TenantStats>& tenants);
+
+  /// DEMOTE's exclusive erase, freeing the owner's occupancy.
+  bool erase(LruCache& cache, BlockKey key);
+
+  bool epoch_due(std::uint64_t accesses) const {
+    return epoch_next_ != 0 && accesses >= epoch_next_;
+  }
+
+  /// Dynamic-share epoch boundary: each tenant keeps a floor of half its
+  /// static quota (at least one block), and the slack above the floors
+  /// goes by the misses each tenant suffered in the epoch, read from the
+  /// settled `tenants`. Shrinks before it grows, so no quota sum exceeds a
+  /// capacity, and returns the trimmed blocks in order, I/O level first.
+  std::vector<Trimmed> rebalance(std::uint64_t accesses,
+                                 std::vector<TenantStats>& tenants,
+                                 std::vector<LruCache>& io_caches,
+                                 std::vector<LruCache>& storage_caches);
+
+ private:
+  bool active_ = false;
+  std::uint32_t tenants_ = 0;
+  std::vector<std::size_t> io_quota_;       ///< static quotas, this run
+  std::vector<std::size_t> storage_quota_;
+  std::uint64_t epoch_ = 0;       ///< epoch length in accesses
+  std::uint64_t epoch_next_ = 0;  ///< next boundary; 0 = dynamic shares off
+  std::vector<std::uint64_t> prev_misses_;  ///< per tenant, last boundary
+  std::vector<std::uint64_t> occ_;  ///< resident blocks per tenant
+  std::vector<std::uint32_t> priority_;  ///< per thread; empty = all 1
+};
 
 }  // namespace flo::storage

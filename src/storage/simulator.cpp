@@ -67,63 +67,42 @@ double HierarchySimulator::on_io_eviction(NodeId io, BlockKey victim,
   return t;
 }
 
-void HierarchySimulator::storage_insert(NodeId node, BlockKey key,
-                                        SimulationResult& result) {
-  LruCache& cache = storage_caches_[node];
+std::optional<BlockKey> HierarchySimulator::cache_insert(
+    LruCache& cache, LayerStats& layer, std::uint64_t TenantStats::*evictions,
+    BlockKey key, SimulationResult& result) {
   std::optional<BlockKey> victim;
-  if (qos_partitioning_) {
+  if (partitioner_.active()) {
     const bool was_resident = cache.contains(key);
-    victim = cache.insert(key, qos_owner());
-    qos_note_insert(was_resident, victim.has_value(),
-                    &TenantStats::storage_evictions, result);
+    victim = cache.insert(key, ledger_.tenant());
+    partitioner_.note_insert(ledger_.tenant(), was_resident,
+                             victim.has_value(), evictions, result.tenants);
   } else {
     victim = cache.insert(key);
   }
-  ++result.storage.fills;
-  result.storage.bytes_filled += topology_.config().block_size;
-  if (victim) {
-    ++result.storage.evictions;
-    if (topology_.config().model_writes) {
-      // The write-back cost of a storage-level dirty eviction is accounted
-      // by the next request via pending_writeback_cost_.
-      if (storage_dirty_[node].erase(victim->packed()) != 0) {
-        pending_writeback_cost_ +=
-            disks_.peek_service(node, striping_.lba_of(*victim));
-        ++pending_writeback_count_;
-        disks_.advance_head(node, striping_.lba_of(*victim));
-      }
-    }
-  }
-}
-
-std::optional<BlockKey> HierarchySimulator::io_insert(
-    NodeId io, BlockKey key, SimulationResult& result) {
-  LruCache& cache = io_caches_[io];
-  std::optional<BlockKey> victim;
-  if (qos_partitioning_) {
-    const bool was_resident = cache.contains(key);
-    victim = cache.insert(key, qos_owner());
-    qos_note_insert(was_resident, victim.has_value(),
-                    &TenantStats::io_evictions, result);
-  } else {
-    victim = cache.insert(key);
-  }
-  ++result.io.fills;
-  result.io.bytes_filled += topology_.config().block_size;
-  if (victim) ++result.io.evictions;
+  ++layer.fills;
+  layer.bytes_filled += topology_.config().block_size;
+  if (victim) ++layer.evictions;
   return victim;
 }
 
-bool HierarchySimulator::storage_erase(NodeId node, BlockKey key) {
-  if (qos_partitioning_) {
-    // DEMOTE's exclusive erase frees the owning tenant's quota charge.
-    const std::optional<std::uint32_t> owner =
-        storage_caches_[node].owner_of(key);
-    if (owner && *owner < qos_occ_.size() && qos_occ_[*owner] > 0) {
-      --qos_occ_[*owner];
-    }
+void HierarchySimulator::storage_insert(NodeId node, BlockKey key,
+                                        SimulationResult& result) {
+  const std::optional<BlockKey> victim =
+      cache_insert(storage_caches_[node], result.storage,
+                   &TenantStats::storage_evictions, key, result);
+  // The write-back cost of a storage-level dirty eviction is accounted by
+  // the next request.
+  if (victim && topology_.config().model_writes &&
+      storage_dirty_[node].erase(victim->packed()) != 0) {
+    defer_writeback(node, *victim);
   }
-  return storage_caches_[node].erase(key);
+}
+
+void HierarchySimulator::defer_writeback(NodeId node, BlockKey victim) {
+  const std::uint64_t lba = striping_.lba_of(victim);
+  pending_writeback_cost_ += disks_.peek_service(node, lba);
+  ++pending_writeback_count_;
+  disks_.advance_head(node, lba);
 }
 
 void HierarchySimulator::advance_stream(BlockKey key, NodeId node,
@@ -340,7 +319,7 @@ void HierarchySimulator::storage_hit_done(const Request& r,
   if (policy_ == PolicyKind::kDemoteLru) {
     // Exclusive caching: a block read through the storage cache moves up
     // to the client; keeping it below would duplicate it.
-    storage_erase(r.node, r.key);
+    partitioner_.erase(storage_caches_[r.node], r.key);
   }
 }
 
@@ -522,280 +501,38 @@ double HierarchySimulator::service(std::uint32_t thread, double now,
 
 void HierarchySimulator::set_tenants(std::vector<std::uint32_t> tenant_of_thread,
                                      std::uint32_t tenant_count) {
-  for (std::uint32_t tenant : tenant_of_thread) {
-    if (tenant >= tenant_count) {
-      throw std::invalid_argument("HierarchySimulator: tenant id out of range");
+  ledger_.assign(std::move(tenant_of_thread), tenant_count);
+}
+
+void HierarchySimulator::rebalance(SimulationResult& result) {
+  ledger_.refresh(result);
+  for (const QosPartitioner::Trimmed& v : partitioner_.rebalance(
+           result.accesses, result.tenants, io_caches_, storage_caches_)) {
+    ++(v.storage ? result.storage : result.io).evictions;
+    // A dirty trim victim is written straight down to disk in the
+    // background, deferred to the next request like a storage eviction.
+    auto& dirty = v.storage ? storage_dirty_ : io_dirty_;
+    if (!topology_.config().model_writes || dirty[v.cache].erase(v.key) == 0) {
+      continue;
     }
-  }
-  tenant_of_thread_ = std::move(tenant_of_thread);
-  tenant_count_ = tenant_of_thread_.empty() ? 0 : tenant_count;
-}
-
-void HierarchySimulator::tenant_settle(SimulationResult& result) {
-  if (!tenant_scope_.open) return;
-  TenantStats& slice = result.tenants[tenant_scope_.tenant];
-  slice.accesses += result.accesses - tenant_scope_.accesses;
-  slice.elements += result.elements - tenant_scope_.elements;
-  slice.io_lookups += result.io.lookups - tenant_scope_.io_lookups;
-  slice.io_hits += result.io.hits - tenant_scope_.io_hits;
-  slice.storage_lookups += result.storage.lookups -
-                           tenant_scope_.storage_lookups;
-  slice.storage_hits += result.storage.hits - tenant_scope_.storage_hits;
-  slice.disk_reads += result.disk_reads - tenant_scope_.disk_reads;
-  slice.bytes_filled += result.io.bytes_filled + result.storage.bytes_filled -
-                        tenant_scope_.bytes_filled;
-  tenant_scope_.open = false;
-}
-
-void HierarchySimulator::tenant_open(std::uint32_t tenant,
-                                     SimulationResult& result) {
-  tenant_scope_.open = true;
-  tenant_scope_.tenant = tenant;
-  tenant_scope_.accesses = result.accesses;
-  tenant_scope_.elements = result.elements;
-  tenant_scope_.io_lookups = result.io.lookups;
-  tenant_scope_.io_hits = result.io.hits;
-  tenant_scope_.storage_lookups = result.storage.lookups;
-  tenant_scope_.storage_hits = result.storage.hits;
-  tenant_scope_.disk_reads = result.disk_reads;
-  tenant_scope_.bytes_filled =
-      result.io.bytes_filled + result.storage.bytes_filled;
-}
-
-void HierarchySimulator::tenant_switch(std::uint32_t thread,
-                                       SimulationResult& result) {
-  if (!tenants_enabled()) return;
-  // Dynamic-share epoch boundaries are driven by the virtual access
-  // counter and checked here because both cores funnel every scheduling
-  // step through tenant_switch; one compare when the mode is off.
-  if (qos_epoch_next_ != 0 && result.accesses >= qos_epoch_next_) {
-    maybe_rebalance_qos(result);
-  }
-  const std::uint32_t tenant = tenant_of_thread_[thread];
-  if (tenant_scope_.open && tenant_scope_.tenant == tenant) return;
-  tenant_settle(result);
-  tenant_open(tenant, result);
-}
-
-void HierarchySimulator::tenant_finish(SimulationResult& result) {
-  if (!tenants_enabled()) return;
-  tenant_settle(result);
-  const std::size_t threads =
-      std::min(tenant_of_thread_.size(), result.thread_time.size());
-  for (std::size_t t = 0; t < threads; ++t) {
-    result.tenants[tenant_of_thread_[t]].busy_time += result.thread_time[t];
-  }
-  if (qos_partitioning_) {
-    const std::size_t n =
-        std::min<std::size_t>(result.tenants.size(), qos_occ_peak_.size());
-    for (std::size_t t = 0; t < n; ++t) {
-      result.tenants[t].occupancy_peak = qos_occ_peak_[t];
-    }
+    ++result.writebacks;
+    const BlockKey victim = BlockKey::unpack(v.key);
+    defer_writeback(striping_.storage_node_of(victim), victim);
   }
 }
 
-std::uint32_t HierarchySimulator::qos_priority_of_thread(
-    std::uint32_t thread) const {
-  const QosConfig& qos = topology_.config().qos;
-  if (!qos.enabled || qos.priorities.empty() || !tenants_enabled() ||
-      thread >= tenant_of_thread_.size()) {
-    return 1;
-  }
-  const std::uint32_t tenant = tenant_of_thread_[thread];
-  return tenant < qos.priorities.size() ? qos.priorities[tenant] : 1;
-}
-
-void HierarchySimulator::qos_note_insert(
-    bool was_resident, bool evicted, std::uint64_t TenantStats::*evictions,
-    SimulationResult& result) {
-  const std::uint32_t owner = tenant_scope_.tenant;
-  if (evicted) {
-    // The victim came from the owner's own partition, so net occupancy is
-    // unchanged and the eviction is the owner's — that is the attribution
-    // guarantee partitioning buys.
-    if (owner < result.tenants.size()) ++(result.tenants[owner].*evictions);
-  } else if (!was_resident && owner < qos_occ_.size()) {
-    if (++qos_occ_[owner] > qos_occ_peak_[owner]) {
-      qos_occ_peak_[owner] = qos_occ_[owner];
-    }
-  }
-}
-
-void HierarchySimulator::apply_qos_partitions() {
-  const QosConfig& qos = topology_.config().qos;
-  qos_partitioning_ = qos.enabled && !qos.shares.empty() &&
-                      tenants_enabled() && policy_ != PolicyKind::kKarma;
-  qos_epoch_next_ = 0;
-  if (!qos_partitioning_) {
-    // Previous runs may have left partitions behind (set_tenants can
-    // change between runs on one simulator): return to global caches.
-    for (auto& c : io_caches_) c.set_partitions({});
-    for (auto& c : storage_caches_) c.set_partitions({});
-    qos_io_quota_.clear();
-    qos_storage_quota_.clear();
-    qos_prev_misses_.clear();
-    qos_occ_.clear();
-    qos_occ_peak_.clear();
-    return;
-  }
-  qos.validate();
-  if (qos.shares.size() < tenant_count_) {
-    throw std::invalid_argument(
-        "HierarchySimulator: fewer QoS shares than tenants");
-  }
-  qos_io_quota_ =
-      quota_partition(topology_.io_cache_blocks(), tenant_count_, qos.shares);
-  qos_storage_quota_ = quota_partition(topology_.storage_cache_blocks(),
-                                       tenant_count_, qos.shares);
-  for (auto& c : io_caches_) c.set_partitions(qos_io_quota_);
-  for (auto& c : storage_caches_) c.set_partitions(qos_storage_quota_);
-  qos_prev_misses_.assign(tenant_count_, 0);
-  qos_occ_.assign(tenant_count_, 0);
-  qos_occ_peak_.assign(tenant_count_, 0);
-  if (qos.dynamic_shares) qos_epoch_next_ = qos.epoch_accesses;
-}
-
-namespace {
-
-/// Largest-remainder split of `amount` units by `weights` (no floor:
-/// zero-weight entries get nothing unless every positive-weight entry has
-/// been topped up). Deterministic: ties break by lower index.
-std::vector<std::size_t> apportion_slack(
-    std::size_t amount, const std::vector<std::uint64_t>& weights) {
-  std::vector<std::size_t> out(weights.size(), 0);
-  std::uint64_t total = 0;
-  for (std::uint64_t w : weights) total += w;
-  if (total == 0 || amount == 0) return out;
-  std::vector<std::pair<std::uint64_t, std::size_t>> rem(weights.size());
-  std::size_t granted = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const std::uint64_t scaled =
-        static_cast<std::uint64_t>(amount) * weights[i];
-    out[i] = static_cast<std::size_t>(scaled / total);
-    rem[i] = {scaled % total, i};
-    granted += out[i];
-  }
-  std::sort(rem.begin(), rem.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  for (std::size_t i = 0; granted < amount; ++i) {
-    ++out[rem[i % rem.size()].second];
-    ++granted;
-  }
-  return out;
-}
-
-}  // namespace
-
-void HierarchySimulator::maybe_rebalance_qos(SimulationResult& result) {
-  const auto& cfg = topology_.config();
-  const QosConfig& qos = cfg.qos;
-  while (qos_epoch_next_ <= result.accesses) {
-    qos_epoch_next_ += qos.epoch_accesses;
-  }
-  // Per-tenant miss counters must be current at the boundary: settle the
-  // open scope, then reopen it so attribution continues seamlessly.
-  if (tenant_scope_.open) {
-    const std::uint32_t cur = tenant_scope_.tenant;
-    tenant_settle(result);
-    tenant_open(cur, result);
-  }
-  // The marginal-gain signal: misses suffered during this epoch, per
-  // tenant — the same observed-pressure signal KARMA uses per range
-  // class, applied to capacity shares.
-  std::vector<std::uint64_t> gain(tenant_count_, 0);
-  std::uint64_t total_gain = 0;
-  for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-    const TenantStats& s = result.tenants[t];
-    const std::uint64_t misses = (s.io_lookups - s.io_hits) +
-                                 (s.storage_lookups - s.storage_hits);
-    gain[t] = misses - qos_prev_misses_[t];
-    qos_prev_misses_[t] = misses;
-    total_gain += gain[t];
-  }
-  if (total_gain == 0) return;  // no pressure anywhere: keep the quotas
-
-  // Guaranteed floor: half the static quota (at least one block). The
-  // slack above the floors is what the epoch's miss pressure contends for.
-  const auto rebalanced = [&](const std::vector<std::size_t>& statiq,
-                              std::size_t capacity) {
-    std::vector<std::size_t> quota(tenant_count_);
-    std::size_t floored = 0;
-    for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-      quota[t] = std::max<std::size_t>(1, statiq[t] / 2);
-      floored += quota[t];
-    }
-    if (floored >= capacity) return statiq;  // degenerate tiny cache
-    const std::vector<std::size_t> extra =
-        apportion_slack(capacity - floored, gain);
-    for (std::uint32_t t = 0; t < tenant_count_; ++t) quota[t] += extra[t];
-    return quota;
-  };
-  const std::vector<std::size_t> io_quota =
-      rebalanced(qos_io_quota_, topology_.io_cache_blocks());
-  const std::vector<std::size_t> st_quota =
-      rebalanced(qos_storage_quota_, topology_.storage_cache_blocks());
-
-  // Applies one layer's new quotas, shrinking before growing so the quota
-  // sum never exceeds capacity. A dirty trim victim is written straight
-  // down to disk in the background (deferred to the next request, like
-  // storage-eviction write-backs): the rebalance just ruled its tenant
-  // over-provisioned, so it is not re-inserted below.
-  const auto trim = [&](std::vector<LruCache>& caches,
-                        const std::vector<std::size_t>& quota,
-                        std::vector<std::unordered_set<std::uint64_t>>& dirty,
-                        LayerStats& layer,
-                        std::uint64_t TenantStats::*evictions) {
-    for (std::size_t i = 0; i < caches.size(); ++i) {
-      LruCache& cache = caches[i];
-      for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-        if (quota[t] >= cache.partition_quota(t)) continue;
-        for (BlockKey victim : cache.set_partition_quota(t, quota[t])) {
-          ++layer.evictions;
-          if (t < result.tenants.size()) ++(result.tenants[t].*evictions);
-          if (qos_occ_[t] > 0) --qos_occ_[t];
-          if (!cfg.model_writes || dirty[i].erase(victim.packed()) == 0) {
-            continue;
-          }
-          ++result.writebacks;
-          const NodeId node = striping_.storage_node_of(victim);
-          const std::uint64_t lba = striping_.lba_of(victim);
-          pending_writeback_cost_ += disks_.peek_service(node, lba);
-          ++pending_writeback_count_;
-          disks_.advance_head(node, lba);
-        }
-      }
-      for (std::uint32_t t = 0; t < tenant_count_; ++t) {
-        if (quota[t] > cache.partition_quota(t)) {
-          cache.set_partition_quota(t, quota[t]);
-        }
-      }
-    }
-  };
-  trim(io_caches_, io_quota, io_dirty_, result.io,
-       &TenantStats::io_evictions);
-  trim(storage_caches_, st_quota, storage_dirty_, result.storage,
-       &TenantStats::storage_evictions);
-}
-
-void HierarchySimulator::settle_trailing_writebacks(SimulationResult& result) {
-  if (pending_writeback_count_ == 0 && pending_writeback_cost_ <= 0) return;
-  result.exec_time += pending_writeback_cost_;
-  result.disk_writes += pending_writeback_count_;
-  pending_writeback_cost_ = 0;
-  pending_writeback_count_ = 0;
-}
-
-void HierarchySimulator::prepare_run(const TraceSource& source) {
+SimulationResult HierarchySimulator::run(const TraceSource& source) {
   if (source.thread_count() > io_node_of_thread_.size()) {
     throw std::invalid_argument("HierarchySimulator: more traces than threads");
   }
-  if (tenants_enabled() &&
-      tenant_of_thread_.size() < source.thread_count()) {
+  if (ledger_.enabled() &&
+      ledger_.tenant_of_thread().size() < source.thread_count()) {
     throw std::invalid_argument(
         "HierarchySimulator: tenant map shorter than trace streams");
   }
-  tenant_scope_ = TenantScope{};
+  // Every run starts cold: caches, disks, striping, the fault stream,
+  // write-back bookkeeping, the tenant scope and the QoS partitions.
+  ledger_.reset();
   striping_ = Striping(topology_.config().storage_nodes, source.file_blocks());
   disks_ = DiskArray(topology_.config().storage_nodes,
                      topology_.config().disk, topology_.config().block_size);
@@ -806,30 +543,23 @@ void HierarchySimulator::prepare_run(const TraceSource& source) {
   pending_writeback_count_ = 0;
   for (auto& c : io_caches_) c.clear();
   for (auto& c : storage_caches_) c.clear();
-  apply_qos_partitions();
+  partitioner_.arm(topology_, policy_ == PolicyKind::kKarma, ledger_,
+                   io_caches_, storage_caches_);
   faults_.reset();  // replay the identical fault stream on every run
-}
 
-SimulationResult HierarchySimulator::run(const TraceSource& source) {
-  prepare_run(source);
-  if (core_ == SimCoreKind::kEvent) {
-    EventEngine engine(*this);
-    return engine.run(source);
-  }
-  return run_clock(source);
-}
-
-SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
-  SimulationResult result;
-  if (tenants_enabled()) result.tenants.resize(tenant_count_);
   const std::size_t threads = io_node_of_thread_.size();
-  std::vector<double> clock(threads, 0.0);
-  std::vector<double> busy(threads, 0.0);
   const std::size_t streams = source.thread_count();
+  RunState run;
+  if (ledger_.enabled()) run.result.tenants.resize(ledger_.tenant_count());
+  run.clock.assign(threads, 0.0);
+  run.busy.assign(threads, 0.0);
+  std::optional<EventEngine> event;
+  if (core_ == SimCoreKind::kEvent) event.emplace(*this, run);
 
-  // Virtual-clock observability lane: one per simulated run, so phase
-  // spans from concurrently simulating cells land on distinct Chrome-trace
-  // rows. Timestamps are the deterministic virtual clocks, not wall time.
+  // Virtual-clock observability lane: one per simulated run, whichever
+  // core runs it, so phase spans from concurrently simulating cells land
+  // on distinct Chrome-trace rows. Timestamps are the deterministic
+  // virtual clocks, not wall time.
   const bool tracing = obs::enabled();
   std::uint32_t lane = 0;
   if (tracing) {
@@ -837,87 +567,110 @@ SimulationResult HierarchySimulator::run_clock(const TraceSource& source) {
     lane = next_lane.fetch_add(1);
   }
 
-  // Min-clock-first scheduler over packed (clock, thread id) keys
-  // (storage/packed_heap.hpp); empty between phases.
-  PackedHeap<HeapKey> heap;
   for (std::size_t p = 0; p < source.phase_count(); ++p) {
     for (std::uint32_t rep = 0; rep < source.phase_repeat(p); ++rep) {
       // All clocks are barrier-aligned here, so clock[0] is the phase start.
-      const double phase_start = clock.empty() ? 0.0 : clock[0];
-      // Min-clock-first scheduling with thread id tiebreak: deterministic
-      // and approximates concurrent execution against the shared caches.
-      // Each thread holds exactly one buffered event (its CursorPump);
-      // resident
-      // trace state is O(threads) regardless of trace length. Multi-block
-      // extents (AccessEvent::run_blocks) are split here: every block is
-      // one scheduling step, so interleaving against other threads is
-      // identical to a per-block event stream.
-      std::vector<CursorPump> pumps;
-      pumps.reserve(streams);
+      const double phase_start = run.clock.empty() ? 0.0 : run.clock[0];
+      // Each thread holds exactly one buffered extent (its CursorPump), so
+      // resident trace state is O(threads) regardless of trace length.
+      run.pumps.clear();
+      run.pumps.reserve(streams);
+      run.active.clear();
       for (std::uint32_t t = 0; t < streams; ++t) {
-        pumps.emplace_back(source.open(p, t));
-        if (pumps[t].prime()) heap.push(pack_key(clock[t], t));
+        run.pumps.emplace_back(source.open(p, t));
+        if (run.pumps[t].prime()) run.active.push_back(t);
       }
-      while (!heap.empty()) {
-        // The running thread stays at the root while it runs; the smallest
-        // key below it is its budget.
-        const HeapKey top = heap.top();
-        const auto t = static_cast<std::uint32_t>(key_low(top));
-        const HeapKey budget = heap.runner_up();
-        double now = key_time(top);
-        tenant_switch(t, result);
-        // Inline continuation: keep stepping thread t while it would be
-        // scheduled next anyway (its key strictly below the budget). This
-        // reproduces one-step-per-block ordering exactly while skipping a
-        // heap operation per block — and is what lets the extent fast path
-        // run a long resident run in one tight loop.
-        bool finished = false;
-        for (;;) {
-          AccessEvent& ev = pumps[t].head();
-          if (service_extent_bulk(t, ev, now, busy[t], budget, result) == 0) {
-            AccessEvent head = ev;
-            head.run_blocks = 1;
-            const double dt = service(t, now, head, result);
-            now += dt;
-            busy[t] += dt;
-            ++ev.block;
-            // A hand-built run_blocks == 0 event degrades to one block
-            // instead of underflowing the remaining-run counter.
-            if (ev.run_blocks != 0) --ev.run_blocks;
-          }
-          if (pumps[t].exhausted() && !pumps[t].refill()) {
-            finished = true;
-            break;
-          }
-          if (!(pack_key(now, t) < budget)) break;
-        }
-        clock[t] = now;
-        // A stopped thread takes its new key down in one sift; the heap
-        // pops only when the thread's stream ends.
-        if (finished) {
-          heap.pop();
-        } else {
-          heap.replace_top(pack_key(now, t));
-        }
+      if (event) {
+        event->run_phase();
+      } else {
+        run_clock_phase(run);
       }
-      // Bulk-synchronous barrier between nests / repetitions.
-      const double barrier = *std::max_element(clock.begin(), clock.end());
-      for (auto& c : clock) c = barrier;
+      // Bulk-synchronous barrier between nests / repetitions; the run's
+      // exec time is the last one.
+      const double barrier =
+          run.clock.empty()
+              ? 0.0
+              : *std::max_element(run.clock.begin(), run.clock.end());
+      for (auto& c : run.clock) c = barrier;
       if (tracing) {
-        obs::record_virtual_span(
-            "sim.phase", "sim", lane, phase_start, barrier - phase_start,
-            {{"phase", std::to_string(p)}, {"rep", std::to_string(rep)}});
+        obs::SpanArgs args{{"phase", std::to_string(p)},
+                           {"rep", std::to_string(rep)}};
+        if (event) args.emplace_back("core", "event");
+        obs::record_virtual_span("sim.phase", "sim", lane, phase_start,
+                                 barrier - phase_start, std::move(args));
       }
     }
   }
 
-  result.exec_time = clock.empty() ? 0.0
-                                   : *std::max_element(clock.begin(),
-                                                       clock.end());
-  result.thread_time = std::move(busy);
-  tenant_finish(result);
-  settle_trailing_writebacks(result);
-  return result;
+  SimulationResult& result = run.result;
+  result.exec_time = run.clock.empty() ? 0.0 : run.clock[0];
+  result.thread_time = std::move(run.busy);
+  ledger_.finish(result);
+  // Drain the deferred write-backs: a trace ending in a write would
+  // otherwise drop them (the next request they wait for never comes).
+  // After the final barrier, so no thread's busy time moves; the drain is
+  // background device work.
+  if (pending_writeback_count_ != 0 || pending_writeback_cost_ > 0) {
+    result.exec_time += pending_writeback_cost_;
+    result.disk_writes += pending_writeback_count_;
+  }
+  return std::move(result);
+}
+
+void HierarchySimulator::run_clock_phase(RunState& run) {
+  SimulationResult& result = run.result;
+  std::vector<CursorPump>& pumps = run.pumps;
+  std::vector<double>& clock = run.clock;
+  std::vector<double>& busy = run.busy;
+  // Min-clock-first scheduling with thread id tiebreak: deterministic and
+  // approximates concurrent execution against the shared caches.
+  // Multi-block extents (AccessEvent::run_blocks) are split here: every
+  // block is one scheduling step, so interleaving against other threads is
+  // identical to a per-block event stream.
+  PackedHeap<HeapKey> heap;
+  for (std::uint32_t t : run.active) heap.push(pack_key(clock[t], t));
+  while (!heap.empty()) {
+    // The running thread stays at the root while it runs; the smallest
+    // key below it is its budget.
+    const HeapKey top = heap.top();
+    const auto t = static_cast<std::uint32_t>(key_low(top));
+    const HeapKey budget = heap.runner_up();
+    double now = key_time(top);
+    attribute(t, result);
+    // Inline continuation: keep stepping thread t while it would be
+    // scheduled next anyway (its key strictly below the budget). This
+    // reproduces one-step-per-block ordering exactly while skipping a
+    // heap operation per block — and is what lets the extent fast path
+    // run a long resident run in one tight loop.
+    bool finished = false;
+    for (;;) {
+      AccessEvent& ev = pumps[t].head();
+      if (service_extent_bulk(t, ev, now, busy[t], budget, result) == 0) {
+        AccessEvent head = ev;
+        head.run_blocks = 1;
+        const double dt = service(t, now, head, result);
+        now += dt;
+        busy[t] += dt;
+        ++ev.block;
+        // A hand-built run_blocks == 0 event degrades to one block
+        // instead of underflowing the remaining-run counter.
+        if (ev.run_blocks != 0) --ev.run_blocks;
+      }
+      if (pumps[t].exhausted() && !pumps[t].refill()) {
+        finished = true;
+        break;
+      }
+      if (!(pack_key(now, t) < budget)) break;
+    }
+    clock[t] = now;
+    // A stopped thread takes its new key down in one sift; the heap pops
+    // only when the thread's stream ends.
+    if (finished) {
+      heap.pop();
+    } else {
+      heap.replace_top(pack_key(now, t));
+    }
+  }
 }
 
 SimulationResult HierarchySimulator::run(const TraceProgram& trace) {

@@ -23,9 +23,11 @@
 #include "storage/network_model.hpp"
 #include "storage/packed_heap.hpp"
 #include "storage/policy.hpp"
+#include "storage/qos.hpp"
 #include "storage/sim_core.hpp"
 #include "storage/stats.hpp"
 #include "storage/striping.hpp"
+#include "storage/tenant_ledger.hpp"
 #include "storage/topology.hpp"
 #include "storage/trace_source.hpp"
 
@@ -86,13 +88,20 @@ class HierarchySimulator {
  private:
   friend class EventEngine;  ///< the event core drives the same state
 
-  /// Resets all mutable per-run state (caches, disks, striping, fault
-  /// stream, write-back bookkeeping) so either core starts cold.
-  void prepare_run(const TraceSource& source);
+  /// Per-run state: the driver (run) owns it, and either core advances it
+  /// one phase at a time.
+  struct RunState {
+    SimulationResult result;
+    std::vector<double> clock;  ///< per-thread virtual clocks
+    std::vector<double> busy;   ///< per-thread busy time
+    std::vector<CursorPump> pumps;      ///< per stream, primed each phase
+    std::vector<std::uint32_t> active;  ///< primed non-empty streams
+  };
 
-  /// The clock core: min-clock-first scheduling over packed (clock,
-  /// thread id) keys, with inline continuation and the extent fast paths.
-  SimulationResult run_clock(const TraceSource& source);
+  /// The clock core's phase: min-clock-first scheduling over packed
+  /// (clock, thread id) keys, with inline continuation and the extent
+  /// fast paths.
+  void run_clock_phase(RunState& run);
 
   /// Services one single-block request (`event.run_blocks` is ignored;
   /// run() splits extents before calling) issued by `thread` at virtual
@@ -202,81 +211,36 @@ class HierarchySimulator {
   /// `result`, and the owner's occupancy when partitioned. A storage
   /// victim's dirty write-back is deferred to the next request; the I/O
   /// victim (if any) is returned for write-back/demotion.
+  std::optional<BlockKey> cache_insert(LruCache& cache, LayerStats& layer,
+                                       std::uint64_t TenantStats::*evictions,
+                                       BlockKey key, SimulationResult& result);
   void storage_insert(NodeId node, BlockKey key, SimulationResult& result);
-  bool storage_erase(NodeId node, BlockKey key);
   std::optional<BlockKey> io_insert(NodeId io, BlockKey key,
-                                    SimulationResult& result);
+                                    SimulationResult& result) {
+    return cache_insert(io_caches_[io], result.io, &TenantStats::io_evictions,
+                        key, result);
+  }
 
   /// Write-back bookkeeping (TopologyConfig::model_writes).
   void mark_io_dirty(NodeId io, BlockKey key);
   double on_io_eviction(NodeId io, BlockKey victim, SimulationResult& result);
+  /// Defers a dirty victim's write-back on disk `node` to the next
+  /// request's charge; the head moves as the background write moves it.
+  void defer_writeback(NodeId node, BlockKey victim);
 
-  /// End-of-run drain of the deferred write-back ledger: charges any
-  /// still-pending storage-eviction write-backs to total time and counts
-  /// them in disk_writes. Without this a trace ending in a write silently
-  /// dropped its trailing write-back (the "next request" it was deferred
-  /// to never arrived). Runs after the final barrier, so per-thread busy
-  /// times are not touched — the drain is background device work.
-  void settle_trailing_writebacks(SimulationResult& result);
-
-  /// --- tenant QoS (TopologyConfig::qos, DESIGN.md §4k) ------------------
-  /// Cache partitioning is active only when qos.enabled, qos.shares is
-  /// non-empty, tenancy is on, and the policy is not KARMA (whose range
-  /// classes are already a capacity-partitioning scheme). Both cores
-  /// inherit it through the shared primitives below.
-  bool qos_partitioning() const { return qos_partitioning_; }
-  /// The tenant charged for the block being serviced right now — the open
-  /// attribution scope's tenant (both cores call tenant_switch before
-  /// servicing, so the scope is always current here).
-  std::uint32_t qos_owner() const {
-    return qos_partitioning_ ? tenant_scope_.tenant : 0;
+  /// Attribution boundary: both cores call this whenever the serviced
+  /// thread changes. A due dynamic-share epoch rebalances first, then the
+  /// ledger's open scope moves to the thread's tenant. One compare when
+  /// tenancy is off.
+  void attribute(std::uint32_t thread, SimulationResult& result) {
+    if (!ledger_.enabled()) return;
+    if (partitioner_.epoch_due(result.accesses)) rebalance(result);
+    ledger_.switch_to(thread, result);
   }
-  /// Disk-scheduling priority of a thread's tenant (>= 1; 1 when QoS or
-  /// tenancy is off, or no priority vector was given).
-  std::uint32_t qos_priority_of_thread(std::uint32_t thread) const;
-  /// Applies (or removes) per-tenant partitions on every cache; called
-  /// from prepare_run after the caches are cleared.
-  void apply_qos_partitions();
-  /// Dynamic-share epoch boundary check: every qos.epoch_accesses block
-  /// requests, reassigns each cache's slack above the guaranteed floors in
-  /// proportion to the misses each tenant suffered during the epoch.
-  void maybe_rebalance_qos(SimulationResult& result);
-  /// Per-tenant occupancy/eviction bookkeeping of one partitioned insert;
-  /// `evictions` names the layer's TenantStats eviction counter.
-  void qos_note_insert(bool was_resident, bool evicted,
-                       std::uint64_t TenantStats::*evictions,
-                       SimulationResult& result);
-
-  /// --- per-tenant attribution ledger (set_tenants) ----------------------
-  /// Counter deltas are attributed scope-to-scope: tenant_switch(t) settles
-  /// everything incremented since the previous switch into the previous
-  /// scope's tenant and snapshots the attributed aggregates. Both cores
-  /// call it whenever the serviced thread changes; cost is one integer
-  /// compare per call when tenancy is off.
-  bool tenants_enabled() const { return !tenant_of_thread_.empty(); }
-  void tenant_switch(std::uint32_t thread, SimulationResult& result);
-  /// Settles the open scope's counter deltas into its tenant's slice.
-  void tenant_settle(SimulationResult& result);
-  /// Opens a fresh attribution scope for `tenant` (snapshotting the
-  /// aggregates); factored out of tenant_switch so the QoS rebalancer can
-  /// settle-and-reopen at an epoch boundary without losing attribution.
-  void tenant_open(std::uint32_t tenant, SimulationResult& result);
-  /// Settles the open scope (if any) and fills per-tenant busy_time from
-  /// result.thread_time; called once per run after the final barrier.
-  void tenant_finish(SimulationResult& result);
-
-  struct TenantScope {
-    bool open = false;
-    std::uint32_t tenant = 0;
-    std::uint64_t accesses = 0;
-    std::uint64_t elements = 0;
-    std::uint64_t io_lookups = 0;
-    std::uint64_t io_hits = 0;
-    std::uint64_t storage_lookups = 0;
-    std::uint64_t storage_hits = 0;
-    std::uint64_t disk_reads = 0;
-    std::uint64_t bytes_filled = 0;
-  };
+  /// Dynamic-share epoch boundary: settles the ledger so per-tenant misses
+  /// are current, lets the partitioner move the quotas, and books every
+  /// trimmed block as an eviction, deferring dirty ones' write-backs.
+  void rebalance(SimulationResult& result);
 
   std::vector<LruCache> io_caches_;       ///< one per I/O node
   std::vector<LruCache> storage_caches_;  ///< one per storage node
@@ -292,24 +256,8 @@ class HierarchySimulator {
   std::unordered_map<std::uint64_t, std::uint64_t> stream_pos_;
   bool extent_batching_ = extents_enabled();
   SimCoreKind core_ = sim_core_from_env();
-  /// Multi-tenant attribution state (empty tenant_of_thread_ = off).
-  std::vector<std::uint32_t> tenant_of_thread_;
-  std::uint32_t tenant_count_ = 0;
-  TenantScope tenant_scope_;
-
-  /// --- tenant QoS runtime state (prepare_run resets all of it) ----------
-  bool qos_partitioning_ = false;
-  /// Static quotas per cache capacity class (io / storage), recomputed
-  /// each run; the dynamic rebalancer's floors derive from these.
-  std::vector<std::size_t> qos_io_quota_;
-  std::vector<std::size_t> qos_storage_quota_;
-  std::uint64_t qos_epoch_next_ = 0;  ///< next rebalance boundary (accesses)
-  /// Miss totals per tenant at the previous epoch boundary, for deltas.
-  std::vector<std::uint64_t> qos_prev_misses_;
-  /// Per-tenant resident-block totals across all caches, and their peaks
-  /// (reported as TenantStats::occupancy_peak).
-  std::vector<std::uint64_t> qos_occ_;
-  std::vector<std::uint64_t> qos_occ_peak_;
+  TenantLedger ledger_;          ///< per-tenant attribution (set_tenants)
+  QosPartitioner partitioner_;  ///< cache partitions (TopologyConfig::qos)
 };
 
 }  // namespace flo::storage

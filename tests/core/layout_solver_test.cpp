@@ -139,7 +139,9 @@ TEST(LayoutSolverTest, ConstraintNeverSatisfiesLessThanGreedy) {
       expect_valid(con, "constraint");
       EXPECT_EQ(uni.total_weight, con.total_weight);
       EXPECT_GE(con.satisfied_weight, uni.satisfied_weight);
-      if (uni.partitioned) EXPECT_TRUE(con.partitioned);
+      if (uni.partitioned) {
+      EXPECT_TRUE(con.partitioned);
+    }
     }
   }
 }
@@ -169,7 +171,9 @@ TEST(LayoutSolverDegenerateTest, SingleThreadSchedule) {
     expect_valid(uni, "unimodular");
     expect_valid(con, "constraint");
     EXPECT_GE(con.satisfied_weight, uni.satisfied_weight);
-    if (uni.partitioned) EXPECT_TRUE(con.partitioned);
+    if (uni.partitioned) {
+      EXPECT_TRUE(con.partitioned);
+    }
   }
 }
 
@@ -219,7 +223,9 @@ TEST(LayoutSolverDegenerateTest, UnweightedOptions) {
       expect_valid(uni, "unimodular");
       expect_valid(con, "constraint");
       EXPECT_GE(con.satisfied_weight, uni.satisfied_weight);
-      if (uni.partitioned) EXPECT_TRUE(con.partitioned);
+      if (uni.partitioned) {
+      EXPECT_TRUE(con.partitioned);
+    }
     }
   }
 }

@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "storage/event_queue.hpp"
 #include "storage/simulator.hpp"
 
@@ -389,6 +391,43 @@ TEST(QueueMetricsTest, EventCoreQueueDepthGaugesRegistered) {
 
   obs::registry().reset();
   obs::set_enabled(false);
+}
+
+TEST(PhaseSpanTest, BothCoresDrawLanesFromOneCounter) {
+  // Each run puts its sim.phase spans on its own Chrome-trace lane,
+  // whichever core runs it, so a clock-core and an event-core run in one
+  // process never share a row.
+  obs::set_enabled(true);
+  obs::recorder().clear();
+  const StorageTopology topo(tiny_config());
+  TraceProgram trace;
+  trace.file_blocks = {64};
+  PhaseTrace phase;
+  phase.per_thread.resize(1);
+  phase.per_thread[0].push_back({0, 7, 1});
+  trace.phases.push_back(std::move(phase));
+  HierarchySimulator clock(topo, PolicyKind::kLruInclusive,
+                           identity_io_mapping(topo));
+  clock.set_core(SimCoreKind::kClock);
+  (void)clock.run(trace);
+  (void)event_sim(topo).run(trace);
+
+  std::set<std::uint32_t> clock_lanes;
+  std::set<std::uint32_t> event_lanes;
+  const obs::SpanArgs::value_type event_core{"core", "event"};
+  for (const auto& span : obs::recorder().snapshot()) {
+    if (span.name != "sim.phase") continue;
+    const bool event = std::find(span.args.begin(), span.args.end(),
+                                 event_core) != span.args.end();
+    (event ? event_lanes : clock_lanes).insert(span.tid);
+  }
+  obs::recorder().clear();
+  obs::registry().reset();
+  obs::set_enabled(false);
+
+  ASSERT_EQ(clock_lanes.size(), 1u);
+  ASSERT_EQ(event_lanes.size(), 1u);
+  EXPECT_NE(*clock_lanes.begin(), *event_lanes.begin());
 }
 
 }  // namespace

@@ -97,6 +97,11 @@ TEST(QuotaPartitionTest, RejectsImpossibleConfigurations) {
   EXPECT_THROW(quota_partition(8, 3, {1, 1}), std::invalid_argument);
 }
 
+TEST(QuotaPartitionTest, RejectsAllZeroShares) {
+  // No weight to apportion by: a loud error, not a division by zero.
+  EXPECT_THROW(quota_partition(8, 2, {0, 0}), std::invalid_argument);
+}
+
 // --- LruCache partitions -------------------------------------------------
 
 TEST(LruPartitionTest, VictimsComeFromTheOwnersOwnPartition) {

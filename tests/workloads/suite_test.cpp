@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "ir/printer.hpp"
 #include "ir/validate.hpp"
 #include "layout/partitioning.hpp"
 #include "parallel/schedule.hpp"
@@ -111,6 +112,19 @@ TEST(SuiteTest, ByNameMatchesSuiteEntry) {
   const auto direct = workload_by_name("swim");
   EXPECT_EQ(direct.group, 3);
   EXPECT_EQ(direct.program.name(), "swim");
+}
+
+TEST(SuiteTest, ByNameBuildsTheSuiteEntryForEveryName) {
+  const auto suite = workload_suite();
+  for (const auto& app : suite) {
+    const auto direct = workload_by_name(app.name);
+    EXPECT_EQ(direct.name, app.name);
+    EXPECT_EQ(direct.group, app.group) << app.name;
+    EXPECT_EQ(direct.master_slave, app.master_slave) << app.name;
+    EXPECT_EQ(ir::to_pseudocode(direct.program),
+              ir::to_pseudocode(app.program))
+        << app.name;
+  }
 }
 
 TEST(SuiteTest, ProgramsAreDeterministic) {

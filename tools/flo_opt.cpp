@@ -17,9 +17,8 @@
 // src/storage/fault_model.hpp for the spec syntax. `--qos` / `--sched`
 // (or FLO_QOS / FLO_SCHED) apply a tenant QoS configuration — cache
 // partitioning shares and the disk scheduling policy, src/storage/qos.hpp
-// syntax; a malformed spec is a configuration error (exit 2), never a
-// silent fallback. `--metrics` (or
-// FLO_METRICS) dumps compile/simulation counters and spans to
+// syntax. A malformed QoS or fault spec is a configuration error (exit 2),
+// never a silent fallback. `--metrics` (or FLO_METRICS) dumps compile/simulation counters and spans to
 // flo_opt.metrics.* / flo_opt.trace.json next to the working directory;
 // stdout is unaffected.
 //
@@ -153,6 +152,18 @@ int main(int argc, char** argv) {
     qos.scheduler = *storage::parse_sched_policy(sched_name);
     qos.enabled = true;
   }
+  // The fault spec is configuration too: a malformed or out-of-range spec
+  // (flag or FLO_FAULTS, NaN values included) exits 2 the same way.
+  storage::FaultConfig faults;
+  try {
+    faults = fault_spec.empty() ? storage::fault_config_from_env()
+                                : storage::parse_fault_spec(fault_spec);
+  } catch (const std::exception& err) {
+    std::cerr << "flo_opt.cpp: "
+              << (fault_spec.empty() ? "FLO_FAULTS" : "--faults") << ": "
+              << err.what() << '\n';
+    return 2;
+  }
 
   if (metrics != obs::SinkMode::kOff) obs::set_enabled(true);
 
@@ -176,9 +187,7 @@ int main(int argc, char** argv) {
     core::ExperimentConfig config;
     config.topology.compute_nodes = threads;
     config.threads = threads;
-    config.topology.fault = fault_spec.empty()
-                                ? storage::fault_config_from_env()
-                                : storage::parse_fault_spec(fault_spec);
+    config.topology.fault = faults;
     config.topology.qos = qos;
     const storage::StorageTopology topology(config.topology);
     const parallel::ParallelSchedule schedule(program, threads);
