@@ -4,10 +4,12 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "ir/validate.hpp"
 #include "linalg/gcd.hpp"
+#include "util/parse.hpp"
 
 namespace flo::ir {
 
@@ -116,17 +118,9 @@ Reference parse_reference(const Program& program, const std::string& body,
   if (!id) throw ParseError(line, "unknown array '" + name + "'");
   const std::size_t dims = program.array(*id).dims();
 
-  std::vector<std::string> exprs;
-  {
-    std::string inner = body.substr(open + 1, close - open - 1);
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= inner.size(); ++i) {
-      if (i == inner.size() || inner[i] == ',') {
-        exprs.push_back(inner.substr(start, i - start));
-        start = i + 1;
-      }
-    }
-  }
+  const std::vector<std::string> exprs =
+      util::split(std::string_view(body).substr(open + 1, close - open - 1),
+                  ',');
   if (exprs.size() != dims) {
     throw ParseError(line, "array '" + name + "' has " +
                                std::to_string(dims) + " dims, got " +

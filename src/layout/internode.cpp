@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/gcd.hpp"
 
@@ -14,6 +17,97 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;
+}
+
+/// An affine function of an odometer's position, stepped without
+/// re-evaluating it. Level j counts 0 .. trip[j]-1, the last level fastest;
+/// when level j steps and the levels after it rewind to 0, the value moves
+/// by delta[j], precomputed in checked arithmetic from the per-level
+/// coefficients.
+class AffineOdometer {
+ public:
+  AffineOdometer(std::span<const std::int64_t> coeff,
+                 std::span<const std::int64_t> trip, std::int64_t value)
+      : trip_(trip.begin(), trip.end()),
+        delta_(trip.size()),
+        counter_(trip.size(), 0),
+        value_(value) {
+    std::int64_t rewind = 0;  // the levels after j, from their ends to 0
+    for (std::size_t j = trip.size(); j-- > 0;) {
+      delta_[j] = linalg::checked_sub(coeff[j], rewind);
+      rewind = linalg::checked_add(
+          rewind, linalg::checked_mul(coeff[j], trip[j] - 1));
+    }
+  }
+
+  std::int64_t value() const { return value_; }
+
+  /// Steps to the next position; false after the last one.
+  bool next() {
+    std::size_t j = counter_.size();
+    while (j > 0 && counter_[j - 1] + 1 == trip_[j - 1]) counter_[--j] = 0;
+    if (j == 0) return false;
+    ++counter_[j - 1];
+    value_ = linalg::checked_add(value_, delta_[j - 1]);
+    return true;
+  }
+
+ private:
+  std::vector<std::int64_t> trip_;
+  std::vector<std::int64_t> delta_;
+  std::vector<std::int64_t> counter_;
+  std::int64_t value_;
+};
+
+/// Positions 0 .. keys.size()-1 stably sorted by keys[position], every key
+/// in [lo, hi]: an LSD radix sort on key - lo. A digit is at most 16 bits
+/// and no wider than the position count needs, so the counting tables stay
+/// linear in the count however wide the key range is.
+std::vector<std::uint64_t> stable_order_by_key(
+    std::span<const std::int64_t> keys, std::int64_t lo, std::int64_t hi) {
+  const std::size_t n = keys.size();
+  std::vector<std::uint64_t> order(n);
+  const auto offset = [lo](std::int64_t key) {
+    return static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(lo);
+  };
+  const int key_bits =
+      n == 0 ? 0 : static_cast<int>(std::bit_width(offset(hi)));
+  const int widest =
+      std::clamp(static_cast<int>(std::bit_width(n)), 8, 16);
+  const int passes = (key_bits + widest - 1) / widest;
+  if (passes == 0) {
+    std::iota(order.begin(), order.end(), std::uint64_t{0});
+    return order;
+  }
+  const int width = (key_bits + passes - 1) / passes;
+  const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+  const std::size_t buckets = std::size_t{1} << width;
+
+  // Every pass's digit counts, from one sequential read of the keys.
+  std::vector<std::size_t> next(static_cast<std::size_t>(passes) * buckets);
+  for (const std::int64_t key : keys) {
+    const std::uint64_t v = offset(key);
+    for (int p = 0; p < passes; ++p) {
+      const std::uint64_t digit = (v >> (p * width)) & mask;
+      ++next[static_cast<std::size_t>(p) * buckets + digit];
+    }
+  }
+  // The last pass writes `order`; earlier ones alternate with `spare`.
+  std::vector<std::uint64_t> spare(passes > 1 ? n : 0);
+  for (int p = 0; p < passes; ++p) {
+    std::size_t* at = next.data() + static_cast<std::size_t>(p) * buckets;
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) sum += std::exchange(at[b], sum);
+    const bool into_order = (passes - 1 - p) % 2 == 0;
+    std::vector<std::uint64_t>& dst = into_order ? order : spare;
+    const std::vector<std::uint64_t>& src = into_order ? spare : order;
+    const int shift = p * width;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t pos = p == 0 ? i : src[i];
+      dst[at[(offset(keys[pos]) >> shift) & mask]++] = pos;
+    }
+  }
+  return order;
 }
 
 }  // namespace
@@ -31,6 +125,88 @@ parallel::ThreadId InterNodeLayout::owner_of_s(std::int64_t s) const {
   return decomp_.thread_of(iu);
 }
 
+void InterNodeLayout::mark_access_image(const poly::IterationSpace& iters,
+                                        const poly::AffineReference& ref) {
+  using linalg::checked_add;
+  using linalg::checked_mul;
+  // The first iteration's element, through the one checked evaluator (it
+  // also rejects a reference whose shape does not fit the nest).
+  std::vector<std::int64_t> iter = iters.first();
+  std::vector<std::int64_t> element(space_.dims());
+  ref.evaluate_into(iter, element);
+
+  // The row-major index is affine in the iteration vector:
+  // idx(i) = idx(first) + sum_j coeff_j * (i_j - lower_j). A level with one
+  // iteration never steps, so its coefficient stays 0 rather than risk a
+  // spurious overflow.
+  const std::size_t dims = space_.dims();
+  std::vector<std::int64_t> stride(dims, 1);
+  for (std::size_t k = dims - 1; k-- > 0;) {
+    stride[k] = stride[k + 1] * space_.extent(k + 1);
+  }
+  std::int64_t start = 0;
+  for (std::size_t k = 0; k < dims; ++k) {
+    start = checked_add(start, checked_mul(stride[k], element[k]));
+  }
+  const std::size_t depth = iters.depth();  // >= 1 for every LoopNest
+  std::vector<std::int64_t> trip(depth);
+  std::vector<std::int64_t> coeff(depth, 0);
+  for (std::size_t j = 0; j < depth; ++j) {
+    trip[j] = iters.bound(j).trip_count();
+    if (trip[j] == 1) continue;
+    for (std::size_t k = 0; k < dims; ++k) {
+      coeff[j] = checked_add(
+          coeff[j], checked_mul(stride[k], ref.access_matrix().at(k, j)));
+    }
+  }
+
+  // Each innermost row is an arithmetic progression of `row_len` indices
+  // at step `row_step`; an odometer over the outer levels gives each row's
+  // first index.
+  const std::size_t outer = depth - 1;
+  const std::int64_t row_len = trip[outer];
+  const std::int64_t row_step = coeff[outer];
+  const std::int64_t row_span = checked_mul(row_step, row_len - 1);
+  const std::uint64_t gap = row_step < 0
+                                ? std::uint64_t{0} -
+                                      static_cast<std::uint64_t>(row_step)
+                                : static_cast<std::uint64_t>(row_step);
+  AffineOdometer rows{std::span(coeff).first(outer),
+                      std::span(trip).first(outer), start};
+  const std::int64_t elements = space_.element_count();
+  const auto set_bit = [this](std::uint64_t u) {
+    words_[u / 64].bits |= std::uint64_t{1} << (u % 64);
+  };
+  do {
+    // The index is monotone along a row, so its two ends bound every
+    // visit.
+    start = rows.value();
+    if (start < 0 || start >= elements || row_span < -start ||
+        row_span >= elements - start) {
+      throw std::out_of_range(
+          "InterNodeLayout: reference indexes outside the array");
+    }
+    const std::uint64_t first =
+        static_cast<std::uint64_t>(row_step < 0 ? start + row_span : start);
+    if (gap == 0) {
+      set_bit(first);
+    } else if (gap == 1) {
+      const std::uint64_t end = first + static_cast<std::uint64_t>(row_len);
+      for (std::uint64_t u = first; u < end;) {
+        const std::uint64_t take =
+            std::min<std::uint64_t>(64 - u % 64, end - u);
+        const std::uint64_t ones =
+            take == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << take) - 1;
+        words_[u / 64].bits |= ones << (u % 64);
+        u += take;
+      }
+    } else {
+      std::uint64_t u = first;
+      for (std::int64_t t = 0; t < row_len; ++t, u += gap) set_bit(u);
+    }
+  } while (rows.next());
+}
+
 InterNodeLayout::InterNodeLayout(const ir::Program& program,
                                  ir::ArrayId array,
                                  const ArrayPartitioning& partitioning,
@@ -45,49 +221,21 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
   if (partitioning_.alpha == 0) {
     throw std::invalid_argument("InterNodeLayout: zero parallel stride");
   }
-  decomp_ = schedule.decomposition(partitioning_.primary_nest);
   const auto& d = partitioning_.hyperplane;
+  const std::size_t dims = space_.dims();
+  if (d.size() != dims) {
+    throw std::invalid_argument("InterNodeLayout: hyperplane dimension");
+  }
+  decomp_ = schedule.decomposition(partitioning_.primary_nest);
   const std::uint64_t elements =
       static_cast<std::uint64_t>(space_.element_count());
   words_.assign(static_cast<std::size_t>((elements + 63) / 64), RankWord{});
 
-  // Pass 1: gather the touched elements of this array across every
-  // reference of every nest (Algorithm 1 iterates "each data element
-  // accessed by thread j"), deduplicated through the bitmap, with their
-  // hyperplane value, grouped by owner.
-  struct Item {
-    std::int64_t s;
-    std::int64_t idx;
-  };
-  std::vector<std::vector<Item>> per_thread(schedule.thread_count());
-  std::vector<std::int64_t> element(space_.dims());
+  // Pass 1: the access image of every reference of every nest (Algorithm 1
+  // iterates "each data element accessed by thread j"), marked row by row.
   for (const auto& nest : program.nests()) {
-    bool touches = false;
     for (const auto& ref : nest.references()) {
-      if (ref.array == array) touches = true;
-    }
-    if (!touches) continue;
-    std::vector<std::int64_t> iter = nest.iterations().first();
-    bool more = true;
-    while (more) {
-      for (const auto& ref : nest.references()) {
-        if (ref.array != array) continue;
-        ref.map.evaluate_into(iter, element);
-        const std::int64_t idx = space_.linearize_row_major(element);
-        const std::uint64_t u = static_cast<std::uint64_t>(idx);
-        if (u >= elements) {
-          throw std::out_of_range(
-              "InterNodeLayout: reference indexes outside the array");
-        }
-        std::uint64_t& bits = words_[u / 64].bits;
-        const std::uint64_t bit = std::uint64_t{1} << (u % 64);
-        if ((bits & bit) == 0) {
-          bits |= bit;
-          const std::int64_t s = linalg::dot(d, element);
-          per_thread[owner_of_s(s)].push_back({s, idx});
-        }
-      }
-      more = nest.iterations().next(iter);
+      if (ref.array == array) mark_access_image(nest.iterations(), ref.map);
     }
   }
   std::uint64_t touched = 0;
@@ -96,36 +244,106 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
     touched += static_cast<std::uint64_t>(std::popcount(word.bits));
   }
 
+  // Pass 2: one row-major scan of the touched elements, so the k-th one
+  // found has rank k. An odometer over the leading coordinates keeps
+  // s = d.a at each row's start; along the row s moves by d_last per
+  // element. Each element's s waits in its own slot until pass 3.
+  slots_.assign(static_cast<std::size_t>(touched), 0);
+  // Checked: every s of the box, and so every partial sum below, fits.
+  const auto [s_lo, s_hi] = hyperplane_range(d, space_);
+  {
+    const std::size_t outer = dims - 1;
+    AffineOdometer rows{std::span(d).first(outer),
+                        std::span(space_.extents()).first(outer), 0};
+    const std::uint64_t row_len =
+        static_cast<std::uint64_t>(space_.extent(outer));
+    std::uint64_t base = 0;
+    std::size_t rank = 0;
+    do {
+      const std::int64_t s_row = rows.value();
+      const std::uint64_t end = base + row_len;
+      for (std::uint64_t u = base; u < end;) {
+        const std::uint64_t take =
+            std::min<std::uint64_t>(64 - u % 64, end - u);
+        std::uint64_t bits = words_[u / 64].bits >> (u % 64);
+        if (take < 64) bits &= (std::uint64_t{1} << take) - 1;
+        for (; bits != 0; bits &= bits - 1) {
+          const std::int64_t a_last = static_cast<std::int64_t>(
+              u - base + static_cast<std::uint64_t>(std::countr_zero(bits)));
+          slots_[rank++] = s_row + d[outer] * a_last;
+        }
+        u += take;
+      }
+      base = end;
+    } while (rows.next());
+  }
+
+  // Ranks in (s, idx) order: elements arrived in idx order, so a stable
+  // sort on s alone suffices. The block index of s is monotone in s, so
+  // each decomposition block's elements form one run of `order`, found by
+  // binary search.
+  const std::vector<std::uint64_t> order =
+      stable_order_by_key(slots_, s_lo, s_hi);
+  const auto block_at = [&](std::size_t pos) {
+    return decomp_.block_of(floor_div(
+        slots_[order[pos]] - partitioning_.beta, partitioning_.alpha));
+  };
+  struct Run {
+    std::size_t begin;
+    std::size_t end;
+    parallel::ThreadId thread;
+  };
+  std::vector<Run> runs;
+  std::vector<std::uint64_t> share(schedule.thread_count(), 0);
+  for (std::size_t begin = 0; begin < order.size();) {
+    const std::size_t block = block_at(begin);
+    std::size_t lo = begin + 1;
+    std::size_t hi = order.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (block_at(mid) == block) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    const parallel::ThreadId thread = decomp_.blocks()[block].thread;
+    runs.push_back({begin, lo, thread});
+    share[thread] += lo - begin;
+    begin = lo;
+  }
+
   // Chunk size: Step II's S1/l, capped at the largest per-thread touched
   // share so small or sparse arrays stay dense (block-aligned).
-  std::size_t max_share = 1;
-  for (const auto& items : per_thread) {
-    max_share = std::max(max_share, items.size());
-  }
+  const std::uint64_t max_share =
+      std::max<std::uint64_t>(1, *std::max_element(share.begin(), share.end()));
   const std::uint64_t cap =
-      (static_cast<std::uint64_t>(max_share) + block_elems - 1) /
-      block_elems * block_elems;
+      (max_share + block_elems - 1) / block_elems * block_elems;
   pattern_ = ChunkPattern(std::move(layers), schedule.thread_count(),
                           static_cast<std::uint64_t>(
                               program.array(array).element_size()),
                           std::move(leaf_cache_of_thread), cap);
 
-  // Pass 2: slab-major order within each thread, then chunk addressing.
-  slots_.assign(static_cast<std::size_t>(touched), 0);
+  // Pass 3: chunk addressing. A thread's k-th element in (s, idx) order
+  // takes chunk_start(t, k / c) + k % c, with one chunk_start per chunk.
+  struct Cursor {
+    std::uint64_t chunk = 0;
+    std::uint64_t within = 0;
+    std::uint64_t start = 0;
+  };
+  std::vector<Cursor> cursors(schedule.thread_count());
   const std::uint64_t c = pattern_.chunk_elements();
-  for (parallel::ThreadId t = 0; t < per_thread.size(); ++t) {
-    auto& items = per_thread[t];
-    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-      if (a.s != b.s) return a.s < b.s;
-      return a.idx < b.idx;
-    });
-    for (std::size_t k = 0; k < items.size(); ++k) {
-      const std::uint64_t chunk = k / c;
-      const std::uint64_t within = k % c;
-      const std::int64_t slot =
-          static_cast<std::int64_t>(pattern_.chunk_start(t, chunk) + within);
-      slots_[rank_of(static_cast<std::uint64_t>(items[k].idx))] = slot;
+  for (const Run& run : runs) {
+    Cursor& at = cursors[run.thread];
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      if (at.within == 0) at.start = pattern_.chunk_start(run.thread, at.chunk);
+      const std::int64_t slot = static_cast<std::int64_t>(at.start + at.within);
+      slots_[order[i]] = slot;
       patterned_slots_ = std::max(patterned_slots_, slot + 1);
+      if (++at.within == c) {
+        at.within = 0;
+        ++at.chunk;
+      }
     }
   }
 }

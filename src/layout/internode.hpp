@@ -17,7 +17,18 @@
 // Memory follows the access image: a touched bitmap over the declared box
 // with a cumulative rank per 64-bit word (2 bits per declared element),
 // plus one slot per touched element (8 bytes), stored in row-major rank
-// order. Building adds a transient 16 bytes per touched element.
+// order.
+//
+// The build is linear in the iterations and the touched elements. A
+// reference's row-major index is affine in the iteration vector, so each
+// innermost row of a nest marks an arithmetic progression of bits. One
+// row-major scan of the bitmap then yields every touched element's rank
+// and s = d.a; an LSD radix sort on s (stable, so ties keep row-major
+// order) gives each thread's elements in Algorithm 1's order, and each
+// decomposition block is one run of that order. Building adds a transient
+// 8 bytes per touched element (16 when s spans more than one radix digit),
+// each buffer allocated at its exact size and freed before the constructor
+// returns; s itself waits in the slot array until the slots replace it.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +77,12 @@ class InterNodeLayout final : public FileLayout {
   };
 
   parallel::ThreadId owner_of_s(std::int64_t s) const;
+
+  /// Sets the touched bit of every element `ref` reaches over `iters`,
+  /// one innermost row at a time; throws std::out_of_range if a row-major
+  /// index leaves the declared box.
+  void mark_access_image(const poly::IterationSpace& iters,
+                         const poly::AffineReference& ref);
 
   /// Position of touched row-major element `idx` among all touched
   /// elements in row-major order.

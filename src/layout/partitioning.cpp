@@ -168,17 +168,21 @@ void finalize_partitioning(ArrayPartitioning& result, linalg::IntVector d,
   result.beta = linalg::dot(d, primary_ref.map.offset());
   result.primary_nest = primary.members.front().first;
 
-  // Range of s = d . a over the box [0, extent_k).
+  const auto [s_min, s_max] = hyperplane_range(d, decl.space());
+  result.s_min = s_min;
+  result.s_max = s_max;
+}
+
+std::pair<std::int64_t, std::int64_t> hyperplane_range(
+    std::span<const std::int64_t> d, const poly::DataSpace& space) {
   std::int64_t s_min = 0;
   std::int64_t s_max = 0;
-  for (std::size_t k = 0; k < decl.dims(); ++k) {
-    const std::int64_t hi =
-        linalg::checked_mul(d[k], decl.space().extent(k) - 1);
+  for (std::size_t k = 0; k < space.dims(); ++k) {
+    const std::int64_t hi = linalg::checked_mul(d[k], space.extent(k) - 1);
     s_min = linalg::checked_add(s_min, std::min<std::int64_t>(0, hi));
     s_max = linalg::checked_add(s_max, std::max<std::int64_t>(0, hi));
   }
-  result.s_min = s_min;
-  result.s_max = s_max;
+  return {s_min, s_max};
 }
 
 }  // namespace flo::layout

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ir/program.hpp"
@@ -91,6 +93,11 @@ std::int64_t satisfied_weight_of(std::span<const std::int64_t> d,
 void finalize_partitioning(ArrayPartitioning& result, linalg::IntVector d,
                            const AccessMatrixGroup& primary,
                            const ir::Program& program, ir::ArrayId array);
+
+/// The range [min, max] of s = d.a over the box of `space`, in checked
+/// arithmetic (throws std::overflow_error if some s does not fit).
+std::pair<std::int64_t, std::int64_t> hyperplane_range(
+    std::span<const std::int64_t> d, const poly::DataSpace& space);
 
 /// Options for Step I (the unweighted variant feeds the ablation bench).
 struct PartitioningOptions {

@@ -2,7 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace flo::storage {
 
@@ -55,44 +59,11 @@ void FaultConfig::validate() const {
 
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-double spec_double(const std::string& value, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault spec: bad number '" + value +
-                                "' for '" + key + "'");
-  }
-}
-
-std::uint64_t spec_u64(const std::string& value, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault spec: bad integer '" + value +
-                                "' for '" + key + "'");
-  }
-}
+constexpr std::string_view kSpec = "fault spec";
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 OutageWindow parse_outage(const std::string& value) {
-  const auto parts = split(value, ':');
+  const auto parts = util::split(value, ':');
   if (parts.size() != 4) {
     throw std::invalid_argument(
         "fault spec: outage wants <io|storage>:<node>:<start>:<end>, got '" +
@@ -107,9 +78,10 @@ OutageWindow parse_outage(const std::string& value) {
     throw std::invalid_argument("fault spec: unknown outage layer '" +
                                 parts[0] + "'");
   }
-  window.node = static_cast<std::uint32_t>(spec_u64(parts[1], "outage node"));
-  window.start = spec_double(parts[2], "outage start");
-  window.end = spec_double(parts[3], "outage end");
+  window.node = static_cast<std::uint32_t>(
+      util::spec_integer(kSpec, "outage node", parts[1], kU32Max));
+  window.start = util::spec_number(kSpec, "outage start", parts[2]);
+  window.end = util::spec_number(kSpec, "outage end", parts[3]);
   return window;
 }
 
@@ -128,7 +100,7 @@ FaultConfig parse_fault_spec(const std::string& spec) {
   FaultConfig config;
   if (spec.empty()) return config;
   config.enabled = true;
-  for (const std::string& entry : split(spec, ',')) {
+  for (const std::string& entry : util::split(spec, ',')) {
     if (entry.empty()) continue;
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos) {
@@ -138,22 +110,23 @@ FaultConfig parse_fault_spec(const std::string& spec) {
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
     if (key == "seed") {
-      config.seed = spec_u64(value, key);
+      config.seed = util::spec_integer(kSpec, key, value);
     } else if (key == "transient") {
-      config.disk_transient_rate = spec_double(value, key);
+      config.disk_transient_rate = util::spec_number(kSpec, key, value);
       config.storage_transient_rate = config.disk_transient_rate;
     } else if (key == "disk-transient") {
-      config.disk_transient_rate = spec_double(value, key);
+      config.disk_transient_rate = util::spec_number(kSpec, key, value);
     } else if (key == "storage-transient") {
-      config.storage_transient_rate = spec_double(value, key);
+      config.storage_transient_rate = util::spec_number(kSpec, key, value);
     } else if (key == "retries") {
-      config.max_retries = static_cast<std::uint32_t>(spec_u64(value, key));
+      config.max_retries = static_cast<std::uint32_t>(
+          util::spec_integer(kSpec, key, value, kU32Max));
     } else if (key == "backoff") {
-      config.retry_backoff = spec_double(value, key);
+      config.retry_backoff = util::spec_number(kSpec, key, value);
     } else if (key == "slow") {
-      config.slow_disk_rate = spec_double(value, key);
+      config.slow_disk_rate = util::spec_number(kSpec, key, value);
     } else if (key == "slow-mult") {
-      config.slow_disk_multiplier = spec_double(value, key);
+      config.slow_disk_multiplier = util::spec_number(kSpec, key, value);
     } else if (key == "outage") {
       config.outages.push_back(parse_outage(value));
     } else {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "storage/lru_cache.hpp"
 #include "storage/tenant_ledger.hpp"
 #include "storage/topology.hpp"
+#include "util/parse.hpp"
 
 namespace flo::storage {
 
@@ -69,47 +71,14 @@ void QosConfig::validate() const {
 
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::uint64_t spec_u64(const std::string& value, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("qos spec: bad integer '" + value + "' for '" +
-                                key + "'");
-  }
-}
-
-double spec_double(const std::string& value, const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("qos spec: bad number '" + value + "' for '" +
-                                key + "'");
-  }
-}
+constexpr std::string_view kSpec = "qos spec";
 
 std::vector<std::uint32_t> spec_weights(const std::string& value,
                                         const std::string& key) {
   std::vector<std::uint32_t> out;
-  for (const std::string& part : split(value, ':')) {
-    out.push_back(static_cast<std::uint32_t>(spec_u64(part, key)));
+  for (const std::string& part : util::split(value, ':')) {
+    out.push_back(static_cast<std::uint32_t>(util::spec_integer(
+        kSpec, key, part, std::numeric_limits<std::uint32_t>::max())));
   }
   return out;
 }
@@ -120,7 +89,7 @@ QosConfig parse_qos_spec(const std::string& spec) {
   QosConfig config;
   if (spec.empty()) return config;
   config.enabled = true;
-  for (const std::string& entry : split(spec, ',')) {
+  for (const std::string& entry : util::split(spec, ',')) {
     if (entry.empty()) continue;
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos) {
@@ -134,9 +103,9 @@ QosConfig parse_qos_spec(const std::string& spec) {
     } else if (key == "prio") {
       config.priorities = spec_weights(value, key);
     } else if (key == "dynamic") {
-      config.dynamic_shares = spec_u64(value, key) != 0;
+      config.dynamic_shares = util::spec_integer(kSpec, key, value) != 0;
     } else if (key == "epoch") {
-      config.epoch_accesses = spec_u64(value, key);
+      config.epoch_accesses = util::spec_integer(kSpec, key, value);
     } else if (key == "sched") {
       const auto policy = parse_sched_policy(value);
       if (!policy) {
@@ -146,7 +115,7 @@ QosConfig parse_qos_spec(const std::string& spec) {
       }
       config.scheduler = *policy;
     } else if (key == "window") {
-      config.sched_window = spec_double(value, key);
+      config.sched_window = util::spec_number(kSpec, key, value);
     } else {
       throw std::invalid_argument("qos spec: unknown key '" + key + "'");
     }

@@ -133,7 +133,9 @@ ir::Program random_program(util::Rng& rng, const GeneratorOptions& options) {
   std::vector<PendingNest> nests(n_nests);
   for (std::size_t n = 0; n < n_nests; ++n) {
     PendingNest& nest = nests[n];
-    nest.name = "n" + std::to_string(n);
+    // A char, not "n": GCC 12 at -O3 reports a false -Wrestrict for
+    // `"n" + std::to_string(n)` inlined here.
+    nest.name = 'n' + std::to_string(n);
     const std::size_t depth =
         static_cast<std::size_t>(one_to(rng, options.max_depth));
     for (std::size_t k = 0; k < depth; ++k) {

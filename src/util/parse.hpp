@@ -2,8 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace flo::util {
 
@@ -11,5 +14,22 @@ namespace flo::util {
 /// digits and nothing else — no sign, no whitespace, no suffix. Returns
 /// std::nullopt for any other text, and for a value above 2^64 - 1.
 std::optional<std::uint64_t> parse_decimal_u64(std::string_view text);
+
+// Fields of the `key=value,...` specs (FLO_QOS, FLO_FAULTS). Every failure
+// throws std::invalid_argument whose message starts with the spec's name,
+// e.g. "qos spec: bad integer '-1' for 'epoch'".
+
+/// Splits `text` at every `sep`, keeping empty fields.
+std::vector<std::string> split(std::string_view text, char sep);
+
+/// `value` as a decimal integer in [0, max], read by parse_decimal_u64 (so
+/// no sign and no blanks); `max` is the width of the field it fills.
+std::uint64_t spec_integer(
+    std::string_view spec, const std::string& key, const std::string& value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// `value` as a floating-point number: all of it, through std::stod.
+double spec_number(std::string_view spec, const std::string& key,
+                   const std::string& value);
 
 }  // namespace flo::util

@@ -11,6 +11,8 @@
 #include "ir/builder.hpp"
 #include "linalg/int_matrix.hpp"
 #include "storage/topology.hpp"
+#include "testing/generator.hpp"
+#include "util/rng.hpp"
 
 namespace flo::layout {
 namespace {
@@ -69,14 +71,14 @@ const InterNodeLayout& as_internode(const FileLayoutPtr& layout) {
 /// patterned region in row-major order. Indexed by row-major index.
 std::vector<std::int64_t> reference_slots(
     const ir::Program& p, const parallel::ParallelSchedule& schedule,
-    const InterNodeLayout& layout) {
-  const auto& space = p.array(0).space();
+    const InterNodeLayout& layout, ir::ArrayId array) {
+  const auto& space = p.array(array).space();
   std::set<std::int64_t> touched;
   for (const auto& nest : p.nests()) {
     std::vector<std::int64_t> iter = nest.iterations().first();
     do {
       for (const auto& ref : nest.references()) {
-        if (ref.array != 0) continue;
+        if (ref.array != array) continue;
         touched.insert(space.linearize_row_major(ref.map.evaluate(iter)));
       }
     } while (nest.iterations().next(iter));
@@ -112,6 +114,23 @@ std::vector<std::int64_t> reference_slots(
     }
   }
   return slots;
+}
+
+/// Every declared element of `array` gets reference_slots' slot, and the
+/// touched count is the size of the patterned region's population.
+void expect_reference_packing(const ir::Program& p,
+                              const parallel::ParallelSchedule& schedule,
+                              const InterNodeLayout& layout,
+                              ir::ArrayId array) {
+  const auto expected = reference_slots(p, schedule, layout, array);
+  const auto& space = p.array(array).space();
+  std::size_t touched = 0;
+  for (std::int64_t i = 0; i < space.element_count(); ++i) {
+    const std::int64_t slot = layout.slot(space.delinearize_row_major(i));
+    EXPECT_EQ(slot, expected[static_cast<std::size_t>(i)]) << "element " << i;
+    if (slot < layout.file_slots() - space.element_count()) ++touched;
+  }
+  EXPECT_EQ(layout.touched_count(), touched);
 }
 
 TEST(InterNodeLayoutTest, SlotsAreInjective) {
@@ -266,6 +285,39 @@ TEST(InterNodeLayoutTest, SlotsMatchReferencePacking) {
           .read_ofs("C", {{0, 1}, {1, 0}}, {1, 0})
           .done()
           .build(),
+      // A[i1][31 - i2]: each row is marked from its high end down.
+      ir::ProgramBuilder("negative_inner")
+          .array("A", {32, 32})
+          .nest("n", {{0, 31}, {0, 31}}, 0)
+          .read_ofs("A", {{1, 0}, {0, -1}}, {0, 31})
+          .done()
+          .build(),
+      // A[i1][2*i2] over a third loop the reference ignores: every
+      // innermost row revisits one element.
+      ir::ProgramBuilder("stride_zero_inner")
+          .array("A", {16, 32})
+          .nest("n", {{0, 15}, {0, 15}, {0, 3}}, 0)
+          .read("A", {{1, 0, 0}, {0, 2, 0}})
+          .done()
+          .build(),
+      // A 2-deep nest covers columns 0..15 and a 3-deep one, parallel on
+      // its middle loop, columns 16..31.
+      ir::ProgramBuilder("mixed_depths")
+          .array("A", {32, 32})
+          .nest("left", {{0, 31}, {0, 15}}, 0)
+          .read("A", {{1, 0}, {0, 1}})
+          .done()
+          .nest("right", {{0, 3}, {0, 31}, {0, 15}}, 1)
+          .write_ofs("A", {{0, 1, 0}, {0, 0, 1}}, {0, 16})
+          .done()
+          .build(),
+      // Parallel on the inner loop: threads own column slabs.
+      ir::ProgramBuilder("inner_parallel")
+          .array("A", {16, 64})
+          .nest("n", {{0, 15}, {0, 63}}, 1)
+          .read("A", {{1, 0}, {0, 1}})
+          .done()
+          .build(),
   };
   for (const auto& p : programs) {
     SCOPED_TRACE(p.name());
@@ -273,17 +325,61 @@ TEST(InterNodeLayoutTest, SlotsMatchReferencePacking) {
     const auto generic =
         build_internode_layout(p, 0, schedule, small_topology());
     ASSERT_NE(generic, nullptr);
-    const InterNodeLayout& layout = as_internode(generic);
-    const auto expected = reference_slots(p, schedule, layout);
-    const auto& space = p.array(0).space();
-    std::size_t touched = 0;
-    for (std::int64_t i = 0; i < space.element_count(); ++i) {
-      const std::int64_t slot = layout.slot(space.delinearize_row_major(i));
-      EXPECT_EQ(slot, expected[static_cast<std::size_t>(i)])
-          << "element " << i;
-      if (slot < layout.file_slots() - space.element_count()) ++touched;
+    expect_reference_packing(p, schedule, as_internode(generic), 0);
+  }
+}
+
+TEST(InterNodeLayoutTest, RandomProgramsMatchReferencePacking) {
+  // Every partitioned array of seeded random programs, on their sampled
+  // systems and under every layer mask.
+  util::Rng rng(20240);
+  const LayerMask masks[] = {LayerMask::kBoth, LayerMask::kIoOnly,
+                             LayerMask::kStorageOnly};
+  std::size_t compared = 0;
+  for (int i = 0; i < 300; ++i) {
+    const flo::testing::FuzzCase fc = flo::testing::random_case(rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + fc.system.describe());
+    const storage::StorageTopology topology(fc.system.config);
+    const parallel::ParallelSchedule schedule(fc.program, fc.system.threads,
+                                              fc.system.mapping);
+    for (ir::ArrayId a = 0; a < fc.program.arrays().size(); ++a) {
+      const auto generic = build_internode_layout(fc.program, a, schedule,
+                                                  topology, masks[i % 3]);
+      if (generic == nullptr) continue;
+      expect_reference_packing(fc.program, schedule, as_internode(generic),
+                               a);
+      ++compared;
     }
-    EXPECT_EQ(layout.touched_count(), touched);
+  }
+  EXPECT_GT(compared, 200u);
+}
+
+TEST(InterNodeLayoutTest, ReferenceLeavingTheBoxThrows) {
+  // ir::Program::add_nest checks array ids and ranks but not the box, so
+  // these programs reach the layout with a reference leaving it: past the
+  // last row's end, before the first row's start, and below zero along a
+  // descending row.
+  struct Case {
+    const char* name;
+    linalg::IntMatrix access;
+    linalg::IntVector offset;
+  };
+  const std::vector<Case> cases = {
+      {"past_end", linalg::IntMatrix{{1, 0}, {0, 1}}, {0, 1}},
+      {"before_start", linalg::IntMatrix{{1, 0}, {0, 1}}, {-1, 0}},
+      {"descending", linalg::IntMatrix{{1, 0}, {0, -1}}, {0, 3}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ir::Program p(c.name);
+    p.add_array(ir::ArrayDecl("A", poly::DataSpace({8, 8})));
+    ir::LoopNest nest("n", poly::IterationSpace({{0, 7}, {0, 7}}), 0);
+    nest.add_reference({0, poly::AffineReference(c.access, c.offset),
+                        ir::AccessKind::kRead});
+    p.add_nest(std::move(nest));
+    const parallel::ParallelSchedule schedule(p, 8);
+    EXPECT_THROW(build_internode_layout(p, 0, schedule, small_topology()),
+                 std::out_of_range);
   }
 }
 

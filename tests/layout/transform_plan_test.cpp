@@ -7,7 +7,9 @@ namespace {
 
 ArrayTransformPlan optimized_plan() {
   ArrayTransformPlan plan;
-  plan.array_name = "A";
+  // Moved in, not assigned from "A": GCC 12 at -O3 reports a false
+  // -Wrestrict for the literal assignment inlined here.
+  plan.array_name = std::string("A");
   plan.optimized = true;
   plan.partitioning.partitioned = true;
   plan.partitioning.transform = linalg::IntMatrix{{0, 1}, {1, 0}};

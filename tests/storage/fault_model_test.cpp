@@ -79,6 +79,29 @@ TEST(FaultSpecTest, MalformedSpecsThrow) {
   EXPECT_THROW(parse_fault_spec("transient"), std::invalid_argument);
 }
 
+TEST(FaultSpecTest, IntegersAreDigitsOnlyAndFitTheirField) {
+  // A sign, a blank, or a value wider than the field it fills is a
+  // "fault spec:" error, not a wrapped or truncated number.
+  for (const char* bad :
+       {"seed=-1", "seed=+1", "seed= 1", "retries=-1", "retries=4294967296",
+        "outage=io:-1:0:1", "outage=io:4294967296:0:1",
+        "outage=io: 0:0:1", "seed=18446744073709551616"}) {
+    try {
+      parse_fault_spec(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("fault spec: ", 0), 0u)
+          << bad << ": " << e.what();
+    }
+  }
+  // The widest value of each field still parses.
+  EXPECT_EQ(parse_fault_spec("retries=4294967295").max_retries, 4294967295u);
+  EXPECT_EQ(parse_fault_spec("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+  EXPECT_EQ(parse_fault_spec("outage=io:4294967295:0:1").outages.front().node,
+            4294967295u);
+}
+
 TEST(FaultConfigTest, ValidateRejectsOutOfRangeKnobs) {
   FaultConfig c;
   c.enabled = true;

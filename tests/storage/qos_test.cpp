@@ -52,6 +52,28 @@ TEST(ParseQosSpecTest, MalformedSpecsThrow) {
   EXPECT_THROW(parse_qos_spec("dynamic=1"), std::invalid_argument);
 }
 
+TEST(ParseQosSpecTest, IntegersAreDigitsOnlyAndFitTheirField) {
+  // A sign, a blank, or a value wider than the field it fills is a
+  // "qos spec:" error, not a wrapped or truncated number.
+  for (const char* bad :
+       {"epoch=-1", "epoch=+3", "epoch= 7", "epoch=7 ", "dynamic=-1",
+        "shares=-1:1", "shares=+2:1", "shares=4294967296:1", "prio=1: 2",
+        "prio=4294967296:1", "epoch=18446744073709551616"}) {
+    try {
+      parse_qos_spec(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("qos spec: ", 0), 0u)
+          << bad << ": " << e.what();
+    }
+  }
+  // The widest value of each field still parses.
+  EXPECT_EQ(parse_qos_spec("shares=4294967295:1").shares.front(),
+            4294967295u);
+  EXPECT_EQ(parse_qos_spec("epoch=18446744073709551615").epoch_accesses,
+            18446744073709551615ull);
+}
+
 TEST(ParseSchedPolicyTest, NamesRoundTrip) {
   for (SchedPolicyKind policy :
        {SchedPolicyKind::kLook, SchedPolicyKind::kFcfs,

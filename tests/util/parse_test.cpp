@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace flo::util {
 namespace {
 
@@ -26,6 +30,44 @@ TEST(ParseDecimalU64Test, RejectsSignAndWhitespace) {
   // takes digits only, so neither is accepted.
   for (const char* bad : {"+5", " 5", "5 ", "\t5", "5\n", "+", " "}) {
     EXPECT_FALSE(parse_decimal_u64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(SplitTest, KeepsEmptyFields) {
+  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
+  EXPECT_EQ(split("x:", ':'), (std::vector<std::string>{"x", ""}));
+}
+
+TEST(SpecIntegerTest, ReadsDigitsUpToTheFieldWidth) {
+  EXPECT_EQ(spec_integer("qos spec", "epoch", "512"), 512u);
+  EXPECT_EQ(spec_integer("qos spec", "shares", "4294967295", 4294967295u),
+            4294967295u);
+  EXPECT_THROW(spec_integer("qos spec", "shares", "4294967296", 4294967295u),
+               std::invalid_argument);
+  for (const char* bad : {"-1", "+3", " 7", "7 ", "", "1.0", "abc"}) {
+    try {
+      spec_integer("fault spec", "seed", bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("fault spec: bad integer '") + bad +
+                    "' for 'seed'");
+    }
+  }
+}
+
+TEST(SpecNumberTest, ReadsTheWholeText) {
+  EXPECT_DOUBLE_EQ(spec_number("qos spec", "window", "0.05"), 0.05);
+  for (const char* bad : {"", "abc", "1.5x", "1,5"}) {
+    try {
+      spec_number("qos spec", "window", bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("qos spec: bad number '") + bad +
+                    "' for 'window'");
+    }
   }
 }
 
