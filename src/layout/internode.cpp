@@ -62,11 +62,12 @@ class AffineOdometer {
 /// Positions 0 .. keys.size()-1 stably sorted by keys[position], every key
 /// in [lo, hi]: an LSD radix sort on key - lo. A digit is at most 16 bits
 /// and no wider than the position count needs, so the counting tables stay
-/// linear in the count however wide the key range is.
-std::vector<std::uint64_t> stable_order_by_key(
+/// linear in the count however wide the key range is. Positions are 32-bit:
+/// the caller keeps the count below 2^32.
+std::vector<std::uint32_t> stable_order_by_key(
     std::span<const std::int64_t> keys, std::int64_t lo, std::int64_t hi) {
   const std::size_t n = keys.size();
-  std::vector<std::uint64_t> order(n);
+  std::vector<std::uint32_t> order(n);
   const auto offset = [lo](std::int64_t key) {
     return static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(lo);
   };
@@ -76,7 +77,7 @@ std::vector<std::uint64_t> stable_order_by_key(
       std::clamp(static_cast<int>(std::bit_width(n)), 8, 16);
   const int passes = (key_bits + widest - 1) / widest;
   if (passes == 0) {
-    std::iota(order.begin(), order.end(), std::uint64_t{0});
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
     return order;
   }
   const int width = (key_bits + passes - 1) / passes;
@@ -93,30 +94,36 @@ std::vector<std::uint64_t> stable_order_by_key(
     }
   }
   // The last pass writes `order`; earlier ones alternate with `spare`.
-  std::vector<std::uint64_t> spare(passes > 1 ? n : 0);
+  std::vector<std::uint32_t> spare(passes > 1 ? n : 0);
   for (int p = 0; p < passes; ++p) {
     std::size_t* at = next.data() + static_cast<std::size_t>(p) * buckets;
     std::size_t sum = 0;
     for (std::size_t b = 0; b < buckets; ++b) sum += std::exchange(at[b], sum);
     const bool into_order = (passes - 1 - p) % 2 == 0;
-    std::vector<std::uint64_t>& dst = into_order ? order : spare;
-    const std::vector<std::uint64_t>& src = into_order ? spare : order;
+    std::vector<std::uint32_t>& dst = into_order ? order : spare;
+    const std::vector<std::uint32_t>& src = into_order ? spare : order;
     const int shift = p * width;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t pos = p == 0 ? i : src[i];
+      const std::uint32_t pos =
+          p == 0 ? static_cast<std::uint32_t>(i) : src[i];
       dst[at[(offset(keys[pos]) >> shift) & mask]++] = pos;
     }
   }
   return order;
 }
 
+/// The largest touched count and the largest slot a 32-bit field holds.
+constexpr std::uint64_t kMaxTouched = 0xFFFFFFFFu;
+constexpr std::uint64_t kMaxSlot = 0xFFFFFFFFu;
+
 }  // namespace
 
 std::size_t InterNodeLayout::rank_of(std::uint64_t idx) const {
   const RankWord& word = words_[idx / 64];
   const std::uint64_t below =
-      word.bits & ((std::uint64_t{1} << (idx % 64)) - 1);
-  return word.rank + static_cast<std::uint64_t>(std::popcount(below));
+      word.bits() & ((std::uint64_t{1} << (idx % 64)) - 1);
+  return std::size_t{word.rank} +
+         static_cast<std::size_t>(std::popcount(below));
 }
 
 parallel::ThreadId InterNodeLayout::owner_of_s(std::int64_t s) const {
@@ -134,6 +141,15 @@ void InterNodeLayout::mark_access_image(const poly::IterationSpace& iters,
   std::vector<std::int64_t> iter = iters.first();
   std::vector<std::int64_t> element(space_.dims());
   ref.evaluate_into(iter, element);
+  // Every coordinate must stay in the box, not only the row-major index:
+  // A[i][j+1] can leave a row yet land on the next one. Each coordinate is
+  // affine over the nest's box, so its extremes lie at the box's corners,
+  // which are row ends; stays_within checks exactly those, so every row
+  // below stays inside [0, elements).
+  if (!ref.stays_within(iters, space_)) {
+    throw std::out_of_range(
+        "InterNodeLayout: reference indexes outside the array");
+  }
 
   // The row-major index is affine in the iteration vector:
   // idx(i) = idx(first) + sum_j coeff_j * (i_j - lower_j). A level with one
@@ -173,19 +189,11 @@ void InterNodeLayout::mark_access_image(const poly::IterationSpace& iters,
                                 : static_cast<std::uint64_t>(row_step);
   AffineOdometer rows{std::span(coeff).first(outer),
                       std::span(trip).first(outer), start};
-  const std::int64_t elements = space_.element_count();
   const auto set_bit = [this](std::uint64_t u) {
-    words_[u / 64].bits |= std::uint64_t{1} << (u % 64);
+    words_[u / 64].set(std::uint64_t{1} << (u % 64));
   };
   do {
-    // The index is monotone along a row, so its two ends bound every
-    // visit.
     start = rows.value();
-    if (start < 0 || start >= elements || row_span < -start ||
-        row_span >= elements - start) {
-      throw std::out_of_range(
-          "InterNodeLayout: reference indexes outside the array");
-    }
     const std::uint64_t first =
         static_cast<std::uint64_t>(row_step < 0 ? start + row_span : start);
     if (gap == 0) {
@@ -197,7 +205,7 @@ void InterNodeLayout::mark_access_image(const poly::IterationSpace& iters,
             std::min<std::uint64_t>(64 - u % 64, end - u);
         const std::uint64_t ones =
             take == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << take) - 1;
-        words_[u / 64].bits |= ones << (u % 64);
+        words_[u / 64].set(ones << (u % 64));
         u += take;
       }
     } else {
@@ -238,17 +246,23 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
       if (ref.array == array) mark_access_image(nest.iterations(), ref.map);
     }
   }
+  // Ranks, checked before each is stored: a rank is at most the touched
+  // count, which must fit a 32-bit slot index.
   std::uint64_t touched = 0;
   for (RankWord& word : words_) {
-    word.rank = touched;
-    touched += static_cast<std::uint64_t>(std::popcount(word.bits));
+    word.rank = static_cast<std::uint32_t>(touched);
+    touched += static_cast<std::uint64_t>(std::popcount(word.bits()));
+    if (touched > kMaxTouched) {
+      throw std::length_error(
+          "InterNodeLayout: more than 2^32 - 1 touched elements");
+    }
   }
 
   // Pass 2: one row-major scan of the touched elements, so the k-th one
   // found has rank k. An odometer over the leading coordinates keeps
   // s = d.a at each row's start; along the row s moves by d_last per
-  // element. Each element's s waits in its own slot until pass 3.
-  slots_.assign(static_cast<std::size_t>(touched), 0);
+  // element. s lives in its own buffer until the runs are found.
+  std::vector<std::int64_t> s(static_cast<std::size_t>(touched));
   // Checked: every s of the box, and so every partial sum below, fits.
   const auto [s_lo, s_hi] = hyperplane_range(d, space_);
   {
@@ -265,12 +279,12 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
       for (std::uint64_t u = base; u < end;) {
         const std::uint64_t take =
             std::min<std::uint64_t>(64 - u % 64, end - u);
-        std::uint64_t bits = words_[u / 64].bits >> (u % 64);
+        std::uint64_t bits = words_[u / 64].bits() >> (u % 64);
         if (take < 64) bits &= (std::uint64_t{1} << take) - 1;
         for (; bits != 0; bits &= bits - 1) {
           const std::int64_t a_last = static_cast<std::int64_t>(
               u - base + static_cast<std::uint64_t>(std::countr_zero(bits)));
-          slots_[rank++] = s_row + d[outer] * a_last;
+          s[rank++] = s_row + d[outer] * a_last;
         }
         u += take;
       }
@@ -282,11 +296,10 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
   // sort on s alone suffices. The block index of s is monotone in s, so
   // each decomposition block's elements form one run of `order`, found by
   // binary search.
-  const std::vector<std::uint64_t> order =
-      stable_order_by_key(slots_, s_lo, s_hi);
+  const std::vector<std::uint32_t> order = stable_order_by_key(s, s_lo, s_hi);
   const auto block_at = [&](std::size_t pos) {
-    return decomp_.block_of(floor_div(
-        slots_[order[pos]] - partitioning_.beta, partitioning_.alpha));
+    return decomp_.block_of(floor_div(s[order[pos]] - partitioning_.beta,
+                                      partitioning_.alpha));
   };
   struct Run {
     std::size_t begin;
@@ -312,6 +325,7 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
     share[thread] += lo - begin;
     begin = lo;
   }
+  s = {};  // freed before the slots are allocated
 
   // Chunk size: Step II's S1/l, capped at the largest per-thread touched
   // share so small or sparse arrays stay dense (block-aligned).
@@ -325,7 +339,8 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
                           std::move(leaf_cache_of_thread), cap);
 
   // Pass 3: chunk addressing. A thread's k-th element in (s, idx) order
-  // takes chunk_start(t, k / c) + k % c, with one chunk_start per chunk.
+  // takes chunk_start(t, k / c) + k % c, with one chunk_start per chunk,
+  // checked against the 32-bit limit before it is stored.
   struct Cursor {
     std::uint64_t chunk = 0;
     std::uint64_t within = 0;
@@ -333,26 +348,32 @@ InterNodeLayout::InterNodeLayout(const ir::Program& program,
   };
   std::vector<Cursor> cursors(schedule.thread_count());
   const std::uint64_t c = pattern_.chunk_elements();
+  slots_.resize(order.size());
+  std::uint64_t patterned = 0;
   for (const Run& run : runs) {
     Cursor& at = cursors[run.thread];
     for (std::size_t i = run.begin; i < run.end; ++i) {
       if (at.within == 0) at.start = pattern_.chunk_start(run.thread, at.chunk);
-      const std::int64_t slot = static_cast<std::int64_t>(at.start + at.within);
-      slots_[order[i]] = slot;
-      patterned_slots_ = std::max(patterned_slots_, slot + 1);
+      const std::uint64_t slot = at.start + at.within;
+      if (slot > kMaxSlot) {
+        throw std::length_error("InterNodeLayout: a slot reaches 2^32");
+      }
+      slots_[order[i]] = static_cast<std::uint32_t>(slot);
+      patterned = std::max(patterned, slot + 1);
       if (++at.within == c) {
         at.within = 0;
         ++at.chunk;
       }
     }
   }
+  patterned_slots_ = static_cast<std::int64_t>(patterned);
 }
 
 std::int64_t InterNodeLayout::slot(
     std::span<const std::int64_t> element) const {
   const std::int64_t idx = space_.linearize_row_major(element);
   const std::uint64_t u = static_cast<std::uint64_t>(idx);
-  if (u / 64 < words_.size() && ((words_[u / 64].bits >> (u % 64)) & 1)) {
+  if (u / 64 < words_.size() && ((words_[u / 64].bits() >> (u % 64)) & 1)) {
     return slots_[rank_of(u)];
   }
   // Untouched element: lives in the canonical-order tail past the

@@ -15,9 +15,12 @@
 // and injective.
 //
 // Memory follows the access image: a touched bitmap over the declared box
-// with a cumulative rank per 64-bit word (2 bits per declared element),
-// plus one slot per touched element (8 bytes), stored in row-major rank
-// order.
+// with a 32-bit cumulative rank beside each 64-bit word (12 bytes per 64
+// declared elements, 1.5 bits each), plus one 32-bit slot per touched
+// element (4 bytes), stored in row-major rank order. The untouched tail is
+// computed, not stored. So an array may touch at most 2^32 - 1 elements,
+// and every touched element's slot must stay below 2^32; the build throws
+// std::length_error before storing a value past either limit.
 //
 // The build is linear in the iterations and the touched elements. A
 // reference's row-major index is affine in the iteration vector, so each
@@ -26,12 +29,14 @@
 // and s = d.a; an LSD radix sort on s (stable, so ties keep row-major
 // order) gives each thread's elements in Algorithm 1's order, and each
 // decomposition block is one run of that order. Building adds a transient
-// 8 bytes per touched element (16 when s spans more than one radix digit),
-// each buffer allocated at its exact size and freed before the constructor
-// returns; s itself waits in the slot array until the slots replace it.
+// 12 bytes per touched element, 8 for its s and 4 for its sorted position
+// (16 when s spans more than one radix digit); each buffer is allocated at
+// its exact size, and s is freed once the runs are found, before the slots
+// are allocated.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "ir/program.hpp"
 #include "layout/chunk_pattern.hpp"
@@ -69,18 +74,30 @@ class InterNodeLayout final : public FileLayout {
   const ArrayPartitioning& partitioning() const { return partitioning_; }
 
  private:
-  /// Bits 0..63 of `bits` mark row-major elements 64w .. 64w+63 of the
+  /// Bits 0..63 of bits() mark row-major elements 64w .. 64w+63 of the
   /// declared box as touched; `rank` counts touched elements before 64w.
+  /// Three 32-bit fields, so a word takes 12 bytes at 4-byte alignment.
   struct RankWord {
-    std::uint64_t bits = 0;
-    std::uint64_t rank = 0;
+    std::uint32_t rank = 0;
+    std::uint32_t halves[2] = {0, 0};  ///< the 64 bits, in memory order
+
+    std::uint64_t bits() const {
+      std::uint64_t bits;
+      std::memcpy(&bits, halves, sizeof bits);
+      return bits;
+    }
+    void set(std::uint64_t mask) {
+      const std::uint64_t bits = this->bits() | mask;
+      std::memcpy(halves, &bits, sizeof bits);
+    }
   };
+  static_assert(sizeof(RankWord) == 12 && alignof(RankWord) == 4);
 
   parallel::ThreadId owner_of_s(std::int64_t s) const;
 
   /// Sets the touched bit of every element `ref` reaches over `iters`,
-  /// one innermost row at a time; throws std::out_of_range if a row-major
-  /// index leaves the declared box.
+  /// one innermost row at a time; throws std::out_of_range if any
+  /// coordinate leaves the declared box.
   void mark_access_image(const poly::IterationSpace& iters,
                          const poly::AffineReference& ref);
 
@@ -98,7 +115,7 @@ class InterNodeLayout final : public FileLayout {
   /// slot() once per element access, so the lookup is a few plain loads
   /// and a popcount, not a hash probe.
   std::vector<RankWord> words_;
-  std::vector<std::int64_t> slots_;
+  std::vector<std::uint32_t> slots_;
   std::int64_t patterned_slots_ = 0;  ///< end of the chunked region
 };
 

@@ -55,8 +55,19 @@ class KarmaAllocator {
     std::uint64_t end = 0;
     CacheLevel level = CacheLevel::kUncached;
   };
-  /// Per-file ranges sorted by begin for binary search.
-  std::vector<std::vector<Assigned>> per_file_;
+  /// One file's ranges sorted by begin, with a bucket index over the
+  /// begins so a lookup searches one bucket's ranges instead of all of
+  /// them. Bucket b covers blocks base + [b, b + 1) * 2^shift, and there
+  /// are at most two buckets per range; first[b] is the index of the first
+  /// range beginning in or after bucket b, and first.back() is the range
+  /// count.
+  struct FileRanges {
+    std::vector<Assigned> ranges;
+    std::vector<std::size_t> first;
+    std::uint64_t base = 0;  ///< the first range's begin
+    unsigned shift = 0;
+  };
+  std::vector<FileRanges> per_file_;
   std::size_t counts_[3] = {0, 0, 0};
 };
 

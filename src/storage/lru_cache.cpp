@@ -95,10 +95,11 @@ std::uint32_t LruCache::evict_tail(std::uint32_t p) {
   return e;
 }
 
-bool LruCache::touch(BlockKey key) {
+bool LruCache::touch(BlockKey key, bool dirty) {
   const std::uint32_t e = find(key.packed());
   if (e == kNil) return false;
   promote(e);
+  entries_[e].dirty |= dirty;
   return true;
 }
 
@@ -113,7 +114,8 @@ std::uint32_t LruCache::touch_run(BlockKey key, std::uint32_t max_blocks) {
   return n;
 }
 
-std::optional<BlockKey> LruCache::insert(BlockKey key, std::uint32_t owner) {
+std::optional<Victim> LruCache::insert(BlockKey key, std::uint32_t owner,
+                                       bool dirty) {
   if (!partitioned_) {
     owner = 0;
   } else if (owner >= parts_.size()) {
@@ -125,15 +127,17 @@ std::optional<BlockKey> LruCache::insert(BlockKey key, std::uint32_t owner) {
     // Resident (possibly in another tenant's partition): promote where it
     // lives; ownership — and the quota charge — stay put.
     promote(e);
+    entries_[e].dirty |= dirty;
     return std::nullopt;
   }
-  std::optional<BlockKey> victim;
+  std::optional<Victim> victim;
   const Partition& part = parts_[owner];
   if (part.size >= part.quota) {
-    if (part.tail == kNil) return key;  // zero-capacity cache: nothing fits
+    // Zero-capacity partition: nothing fits, so the block leaves at once.
+    if (part.tail == kNil) return Victim{key, dirty};
     // Full: the owner's own LRU block makes room, and its entry is reused.
     e = evict_tail(owner);
-    victim = BlockKey::unpack(entries_[e].key);
+    victim = Victim{BlockKey::unpack(entries_[e].key), entries_[e].dirty};
   } else if (free_ != kNil) {
     e = free_;
     free_ = entries_[e].next;
@@ -145,6 +149,7 @@ std::optional<BlockKey> LruCache::insert(BlockKey key, std::uint32_t owner) {
   }
   entries_[e].key = packed;
   entries_[e].owner = owner;
+  entries_[e].dirty = dirty;
   link_front(e);
   table_insert(e);
   ++size_;
@@ -223,8 +228,8 @@ std::optional<std::uint32_t> LruCache::owner_of(BlockKey key) const {
   return entries_[e].owner;
 }
 
-std::vector<BlockKey> LruCache::set_partition_quota(std::uint32_t tenant,
-                                                    std::size_t quota) {
+std::vector<Victim> LruCache::set_partition_quota(std::uint32_t tenant,
+                                                  std::size_t quota) {
   if (!partitioned_ || tenant >= parts_.size()) {
     throw std::invalid_argument("LruCache: quota for unknown partition");
   }
@@ -241,10 +246,10 @@ std::vector<BlockKey> LruCache::set_partition_quota(std::uint32_t tenant,
     }
   }
   part.quota = quota;
-  std::vector<BlockKey> victims;
+  std::vector<Victim> victims;
   while (part.size > quota) {
     const std::uint32_t e = evict_tail(tenant);
-    victims.push_back(BlockKey::unpack(entries_[e].key));
+    victims.push_back({BlockKey::unpack(entries_[e].key), entries_[e].dirty});
     entries_[e].next = free_;
     free_ = e;
   }

@@ -1,14 +1,14 @@
 // Block-granularity LRU cache — the building block for every cache in the
 // hierarchy (Section 5.1: "managed using the LRU policy").
 //
-// Flat layout: one slab of {key, prev, next, owner} entries, reserved at
-// construction and never reallocated, threaded by index into one recency
-// list per partition (an unpartitioned cache is the one-partition case),
-// and an open-addressing key -> entry table (power-of-two size of at least
-// twice the capacity, multiplicative hash of the packed key, linear
-// probing, backward-shift deletion). A hit is one probe plus an index
-// splice and a miss reuses the victim's entry, so touches, inserts and
-// erases never allocate.
+// Flat layout: one slab of 24-byte {key, prev, next, owner, dirty} entries,
+// reserved at construction and never reallocated, threaded by index into
+// one recency list per partition (an unpartitioned cache is the
+// one-partition case), and an open-addressing key -> entry table
+// (power-of-two size of at least twice the capacity, multiplicative hash
+// of the packed key, linear probing, backward-shift deletion). A hit is
+// one probe plus an index splice and a miss reuses the victim's entry, so
+// touches, inserts and erases never allocate.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,17 @@ struct BlockKey {
   }
 };
 
+/// A block leaving the cache, and whether it was written while resident.
+struct Victim {
+  BlockKey key;
+  bool dirty = false;
+
+  bool operator==(const Victim&) const = default;
+};
+
 /// Fixed-capacity LRU over BlockKeys. O(1) expected lookup/insert/erase.
+/// Each resident block carries a dirty bit: set by a write's touch or
+/// insert, reported with the block when it is evicted or trimmed.
 class LruCache {
  public:
   LruCache() { allocate(0); }
@@ -48,8 +58,9 @@ class LruCache {
   /// True iff resident (does NOT update recency).
   bool contains(BlockKey key) const { return find(key.packed()) != kNil; }
 
-  /// If resident, promotes to MRU and returns true.
-  bool touch(BlockKey key);
+  /// If resident, promotes to MRU, marks it dirty when `dirty`, and
+  /// returns true.
+  bool touch(BlockKey key, bool dirty = false);
 
   /// Promotes blocks key, key+1, ..., key+n-1 to MRU exactly as n
   /// successive touch() calls would (final recency order: key+n-1 most
@@ -59,12 +70,15 @@ class LruCache {
   /// per extent instead of once per block.
   std::uint32_t touch_run(BlockKey key, std::uint32_t max_blocks);
 
-  /// Inserts at MRU; returns the evicted key if capacity was exceeded.
-  /// Inserting a resident key just promotes it (returns nullopt). When
-  /// partitioned, `owner` names the tenant whose quota the block is
-  /// charged to — the victim (if any) always comes from that tenant's own
-  /// partition, which is the isolation guarantee (DESIGN.md §4k).
-  std::optional<BlockKey> insert(BlockKey key, std::uint32_t owner = 0);
+  /// Inserts at MRU, dirty when `dirty`; returns the evicted block if
+  /// capacity was exceeded. Inserting a resident key just promotes it (and
+  /// marks it dirty when `dirty`; returns nullopt). When partitioned,
+  /// `owner` names the tenant whose quota the block is charged to — the
+  /// victim (if any) always comes from that tenant's own partition, which
+  /// is the isolation guarantee (DESIGN.md §4k). A zero-quota partition
+  /// refuses the block and returns it as its own victim.
+  std::optional<Victim> insert(BlockKey key, std::uint32_t owner = 0,
+                               bool dirty = false);
 
   /// Removes a key if resident; returns whether it was resident.
   bool erase(BlockKey key);
@@ -96,8 +110,8 @@ class LruCache {
   /// it fits and returns the victims (the dynamic-share rebalancer
   /// accounts them through the same paths as insert victims); growing
   /// never evicts, and throws if the quota sum would exceed the capacity.
-  std::vector<BlockKey> set_partition_quota(std::uint32_t tenant,
-                                            std::size_t quota);
+  std::vector<Victim> set_partition_quota(std::uint32_t tenant,
+                                          std::size_t quota);
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
@@ -107,7 +121,9 @@ class LruCache {
     std::uint32_t prev = kNil;  ///< toward MRU
     std::uint32_t next = kNil;  ///< toward LRU; free-list link when free
     std::uint32_t owner = 0;    ///< partition the entry is charged to
+    bool dirty = false;         ///< written since it was filled
   };
+  static_assert(sizeof(Entry) == 24, "the dirty bit fits the padding");
   struct Partition {
     std::uint32_t head = kNil;  ///< MRU
     std::uint32_t tail = kNil;  ///< LRU
@@ -132,7 +148,7 @@ class LruCache {
   void unlink(std::uint32_t e);
   void promote(std::uint32_t e);
   /// Drops partition `p`'s LRU entry from the table and its list and
-  /// returns its index (still holding the victim's key).
+  /// returns its index (still holding the victim's key and dirty bit).
   std::uint32_t evict_tail(std::uint32_t p);
 
   std::size_t capacity_ = 0;

@@ -309,11 +309,11 @@ std::vector<QosPartitioner::Trimmed> QosPartitioner::rebalance(
       LruCache& cache = caches[i];
       for (std::uint32_t t = 0; t < tenants_; ++t) {
         if (quota[t] >= cache.partition_quota(t)) continue;
-        for (BlockKey victim : cache.set_partition_quota(t, quota[t])) {
+        for (const Victim& victim : cache.set_partition_quota(t, quota[t])) {
           if (t < tenants.size()) ++(tenants[t].*evictions);
           if (occ_[t] > 0) --occ_[t];
-          trimmed.push_back(
-              {storage, static_cast<std::uint32_t>(i), victim.packed()});
+          trimmed.push_back({storage, static_cast<std::uint32_t>(i),
+                             victim.key.packed(), victim.dirty});
         }
       }
       for (std::uint32_t t = 0; t < tenants_; ++t) {

@@ -131,6 +131,7 @@ class QosPartitioner {
     bool storage = false;     ///< storage level (else I/O level)
     std::uint32_t cache = 0;  ///< node index of the cache within its level
     std::uint64_t key = 0;    ///< BlockKey::packed()
+    bool dirty = false;       ///< the cache entry's dirty bit
   };
 
   /// Starts a run on freshly cleared caches. Partitioning is active when

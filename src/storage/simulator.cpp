@@ -39,45 +39,40 @@ HierarchySimulator::HierarchySimulator(StorageTopology topology,
   for (std::size_t i = 0; i < cfg.storage_nodes; ++i) {
     storage_caches_.emplace_back(topology_.storage_cache_blocks());
   }
-  io_dirty_.resize(cfg.io_nodes);
   storage_dirty_.resize(cfg.storage_nodes);
 }
 
-void HierarchySimulator::mark_io_dirty(NodeId io, BlockKey key) {
-  io_dirty_[io].insert(key.packed());
-}
-
-double HierarchySimulator::on_io_eviction(NodeId io, BlockKey victim,
+double HierarchySimulator::on_io_eviction(const Victim& victim,
                                           SimulationResult& result) {
   // Write-back: a dirty victim is shipped down to its storage cache; a
   // clean one is simply dropped. A block may be cached dirty in several
   // I/O caches; only this cache's copy is being evicted.
-  if (io_dirty_[io].erase(victim.packed()) == 0) return 0;
+  if (!victim.dirty) return 0;
   double t = network_.demotion();
   ++result.writebacks;
   const auto& cfg = topology_.config();
-  const NodeId node = striping_.storage_node_of(victim);
+  const NodeId node = striping_.storage_node_of(victim.key);
   if (cfg.storage_cache_enabled) {
-    storage_insert(node, victim, result);
-    storage_dirty_[node].insert(victim.packed());
+    storage_insert(node, victim.key, result);
+    storage_dirty_[node].insert(victim.key.packed());
   } else {
-    t += disks_.service(node, striping_.lba_of(victim));
+    t += disks_.service(node, striping_.lba_of(victim.key));
     ++result.disk_writes;
   }
   return t;
 }
 
-std::optional<BlockKey> HierarchySimulator::cache_insert(
+std::optional<Victim> HierarchySimulator::cache_insert(
     LruCache& cache, LayerStats& layer, std::uint64_t TenantStats::*evictions,
-    BlockKey key, SimulationResult& result) {
-  std::optional<BlockKey> victim;
+    BlockKey key, bool dirty, SimulationResult& result) {
+  std::optional<Victim> victim;
   if (partitioner_.active()) {
     const bool was_resident = cache.contains(key);
-    victim = cache.insert(key, ledger_.tenant());
+    victim = cache.insert(key, ledger_.tenant(), dirty);
     partitioner_.note_insert(ledger_.tenant(), was_resident,
                              victim.has_value(), evictions, result.tenants);
   } else {
-    victim = cache.insert(key);
+    victim = cache.insert(key, 0, dirty);
   }
   ++layer.fills;
   layer.bytes_filled += topology_.config().block_size;
@@ -87,14 +82,14 @@ std::optional<BlockKey> HierarchySimulator::cache_insert(
 
 void HierarchySimulator::storage_insert(NodeId node, BlockKey key,
                                         SimulationResult& result) {
-  const std::optional<BlockKey> victim =
+  const std::optional<Victim> victim =
       cache_insert(storage_caches_[node], result.storage,
-                   &TenantStats::storage_evictions, key, result);
+                   &TenantStats::storage_evictions, key, false, result);
   // The write-back cost of a storage-level dirty eviction is accounted by
   // the next request.
   if (victim && topology_.config().model_writes &&
-      storage_dirty_[node].erase(victim->packed()) != 0) {
-    defer_writeback(node, *victim);
+      storage_dirty_[node].erase(victim->key.packed()) != 0) {
+    defer_writeback(node, victim->key);
   }
 }
 
@@ -259,9 +254,8 @@ double HierarchySimulator::begin_request(std::uint32_t thread, double now,
 
 bool HierarchySimulator::io_lookup(Request& r, SimulationResult& result) {
   ++result.io.lookups;
-  if (io_caches_[r.io].touch(r.key)) {
+  if (io_caches_[r.io].touch(r.key, r.is_write)) {
     ++result.io.hits;
-    if (r.is_write) mark_io_dirty(r.io, r.key);
     return true;
   }
   r.node = striping_.storage_node_of(r.key);
@@ -327,7 +321,7 @@ void HierarchySimulator::disk_read_done(const Request& r,
                                         SimulationResult& result) {
   ++result.disk_reads;
   if (r.route == Route::kKarmaIo) {
-    io_insert(r.io, r.key, result);
+    io_insert(r.io, r.key, false, result);
     return;
   }
   if (r.route == Route::kKarmaDirect) return;
@@ -342,15 +336,14 @@ void HierarchySimulator::disk_read_done(const Request& r,
 
 void HierarchySimulator::fill_io(const Request& r, double& t,
                                  SimulationResult& result) {
-  const std::optional<BlockKey> victim = io_insert(r.io, r.key, result);
-  if (r.is_write) mark_io_dirty(r.io, r.key);
+  const std::optional<Victim> victim =
+      io_insert(r.io, r.key, r.is_write, result);
   if (!victim) return;
-  if (topology_.config().model_writes) {
-    t += on_io_eviction(r.io, *victim, result);
-  }
+  if (topology_.config().model_writes) t += on_io_eviction(*victim, result);
   if (policy_ == PolicyKind::kDemoteLru) {
     // Ship the evicted block down instead of dropping it (Wong & Wilkes).
-    storage_insert(striping_.storage_node_of(*victim), *victim, result);
+    storage_insert(striping_.storage_node_of(victim->key), victim->key,
+                   result);
     t += network_.demotion();
     ++result.demotions;
   }
@@ -511,10 +504,10 @@ void HierarchySimulator::rebalance(SimulationResult& result) {
     ++(v.storage ? result.storage : result.io).evictions;
     // A dirty trim victim is written straight down to disk in the
     // background, deferred to the next request like a storage eviction.
-    auto& dirty = v.storage ? storage_dirty_ : io_dirty_;
-    if (!topology_.config().model_writes || dirty[v.cache].erase(v.key) == 0) {
-      continue;
-    }
+    if (!topology_.config().model_writes) continue;
+    const bool dirty =
+        v.storage ? storage_dirty_[v.cache].erase(v.key) != 0 : v.dirty;
+    if (!dirty) continue;
     ++result.writebacks;
     const BlockKey victim = BlockKey::unpack(v.key);
     defer_writeback(striping_.storage_node_of(victim), victim);
@@ -537,7 +530,6 @@ SimulationResult HierarchySimulator::run(const TraceSource& source) {
   disks_ = DiskArray(topology_.config().storage_nodes,
                      topology_.config().disk, topology_.config().block_size);
   stream_pos_.clear();
-  for (auto& d : io_dirty_) d.clear();
   for (auto& d : storage_dirty_) d.clear();
   pending_writeback_cost_ = 0;
   pending_writeback_count_ = 0;

@@ -210,20 +210,23 @@ class HierarchySimulator {
   /// Cache inserts book fills/evictions into the per-layer stats of
   /// `result`, and the owner's occupancy when partitioned. A storage
   /// victim's dirty write-back is deferred to the next request; the I/O
-  /// victim (if any) is returned for write-back/demotion.
-  std::optional<BlockKey> cache_insert(LruCache& cache, LayerStats& layer,
-                                       std::uint64_t TenantStats::*evictions,
-                                       BlockKey key, SimulationResult& result);
+  /// victim (if any) is returned, with its dirty bit, for
+  /// write-back/demotion.
+  std::optional<Victim> cache_insert(LruCache& cache, LayerStats& layer,
+                                     std::uint64_t TenantStats::*evictions,
+                                     BlockKey key, bool dirty,
+                                     SimulationResult& result);
   void storage_insert(NodeId node, BlockKey key, SimulationResult& result);
-  std::optional<BlockKey> io_insert(NodeId io, BlockKey key,
-                                    SimulationResult& result) {
+  std::optional<Victim> io_insert(NodeId io, BlockKey key, bool dirty,
+                                  SimulationResult& result) {
     return cache_insert(io_caches_[io], result.io, &TenantStats::io_evictions,
-                        key, result);
+                        key, dirty, result);
   }
 
-  /// Write-back bookkeeping (TopologyConfig::model_writes).
-  void mark_io_dirty(NodeId io, BlockKey key);
-  double on_io_eviction(NodeId io, BlockKey victim, SimulationResult& result);
+  /// Write-back bookkeeping (TopologyConfig::model_writes): an I/O block's
+  /// dirty state is its cache entry's bit; a storage block's is
+  /// storage_dirty_.
+  double on_io_eviction(const Victim& victim, SimulationResult& result);
   /// Defers a dirty victim's write-back on disk `node` to the next
   /// request's charge; the head moves as the background write moves it.
   void defer_writeback(NodeId node, BlockKey victim);
@@ -246,8 +249,10 @@ class HierarchySimulator {
   std::vector<LruCache> storage_caches_;  ///< one per storage node
   Striping striping_;
   DiskArray disks_;
-  /// Dirty-block sets per layer (packed keys), used when model_writes.
-  std::vector<std::unordered_set<std::uint64_t>> io_dirty_;
+  /// Dirty storage-cache blocks per storage node (packed keys), used when
+  /// model_writes. A set, not the entry bit: DEMOTE's exclusive erase
+  /// leaves a block's mark behind, and a later eviction of the refilled
+  /// block still writes it back.
   std::vector<std::unordered_set<std::uint64_t>> storage_dirty_;
   double pending_writeback_cost_ = 0;       ///< charged to the next request
   std::uint64_t pending_writeback_count_ = 0;

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 
 namespace flo::storage {
 
@@ -105,12 +106,10 @@ struct Reader {
     return t;
   }
   std::uint64_t u64() {
-    const std::string t = token();
-    if (!ok) return 0;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(t.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') ok = false;
-    return v;
+    // Digits only: no sign, so "-1" cannot wrap to 2^64 - 1.
+    const std::optional<std::uint64_t> v = util::parse_decimal_u64(token());
+    if (!v) ok = false;
+    return v.value_or(0);
   }
   double f64() {
     // istream >> double does not reliably parse hexfloats; strtod does.

@@ -357,23 +357,28 @@ TEST(InterNodeLayoutTest, RandomProgramsMatchReferencePacking) {
 TEST(InterNodeLayoutTest, ReferenceLeavingTheBoxThrows) {
   // ir::Program::add_nest checks array ids and ranks but not the box, so
   // these programs reach the layout with a reference leaving it: past the
-  // last row's end, before the first row's start, and below zero along a
-  // descending row.
+  // last row's end, before the first row's start, below zero along a
+  // descending row, and A[i][j+1] over rows 0..6, whose row-major indices
+  // all stay inside the array while column 8 of row i aliases column 0 of
+  // row i+1.
   struct Case {
     const char* name;
     linalg::IntMatrix access;
     linalg::IntVector offset;
+    std::int64_t last_row = 7;
   };
   const std::vector<Case> cases = {
       {"past_end", linalg::IntMatrix{{1, 0}, {0, 1}}, {0, 1}},
       {"before_start", linalg::IntMatrix{{1, 0}, {0, 1}}, {-1, 0}},
       {"descending", linalg::IntMatrix{{1, 0}, {0, -1}}, {0, 3}},
+      {"one_coordinate", linalg::IntMatrix{{1, 0}, {0, 1}}, {0, 1}, 6},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     ir::Program p(c.name);
     p.add_array(ir::ArrayDecl("A", poly::DataSpace({8, 8})));
-    ir::LoopNest nest("n", poly::IterationSpace({{0, 7}, {0, 7}}), 0);
+    ir::LoopNest nest("n", poly::IterationSpace({{0, c.last_row}, {0, 7}}),
+                      0);
     nest.add_reference({0, poly::AffineReference(c.access, c.offset),
                         ir::AccessKind::kRead});
     p.add_nest(std::move(nest));
@@ -483,8 +488,44 @@ TEST(InterNodeLayoutTest, DiagonalBandFootprintFollowsAccessImage) {
   const std::size_t after = heap_bytes_in_use();
   ASSERT_NE(generic, nullptr);
   EXPECT_EQ(as_internode(generic).touched_count(), 65536u);
-  EXPECT_LT(after, before + (std::size_t{4} << 20))
+  // 65,536 slots x 4 B + 135,168 rank words x 12 B = 1.80 MiB.
+  EXPECT_LT(after, before + (std::size_t{2} << 20))
       << "retained " << (after - before) << " bytes";
+}
+
+TEST(InterNodeLayoutTest, SlotsStopAtTheThirtyTwoBitLimit) {
+  // Two threads share one cache of chunk c, so thread 1's k-th element
+  // takes slot c + k. With 8 elements per thread, c = 2^32 - 8 puts the
+  // last one on 2^32 - 1, the largest slot a 32-bit field holds, and
+  // c = 2^32 - 7 puts it on 2^32.
+  const auto p = transposed_program(4);
+  const parallel::ParallelSchedule schedule(p, 2);
+  const ArrayPartitioning partitioning = partition_array(p, 0, schedule);
+  const std::uint64_t element_size =
+      static_cast<std::uint64_t>(p.array(0).element_size());
+  const auto build = [&](std::uint64_t chunk) {
+    // block_elems = chunk caps the chunk at exactly `chunk` elements.
+    return std::make_unique<InterNodeLayout>(
+        p, 0, partitioning, schedule,
+        std::vector<PatternLayer>{{chunk * 2 * element_size, 1}},
+        std::vector<std::size_t>{}, chunk);
+  };
+  const std::uint64_t limit = std::uint64_t{1} << 32;
+  const auto at_limit = build(limit - 8);
+  EXPECT_EQ(at_limit->pattern().chunk_elements(), limit - 8);
+  EXPECT_EQ(at_limit->file_slots(), static_cast<std::int64_t>(limit) +
+                                        p.array(0).space().element_count());
+  expect_reference_packing(p, schedule, *at_limit, 0);
+  EXPECT_THROW(build(limit - 7), std::length_error);
+  // Chunks of 2^30 slots for eight threads of one cache: threads 4..7
+  // start at 2^32.
+  const auto wide = transposed_program(8);
+  const parallel::ParallelSchedule eight(wide, 8);
+  const std::uint64_t chunk = std::uint64_t{1} << 30;
+  EXPECT_THROW(InterNodeLayout(wide, 0, partition_array(wide, 0, eight),
+                               eight, {{chunk * 8 * element_size, 1}}, {},
+                               chunk),
+               std::length_error);
 }
 
 TEST(InterNodeLayoutTest, LeafCacheMappingFollowsThreadMapping) {

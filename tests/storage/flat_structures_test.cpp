@@ -34,9 +34,12 @@ namespace {
 
 // --- LruCache ------------------------------------------------------------
 
+/// A victim as the reference reports it: packed key and dirty bit.
+using RefVictim = std::pair<std::uint64_t, bool>;
+
 /// The list + map LRU the slab replaced: MRU at the list front, a hash map
 /// into the list, and one nested cache per tenant behind an owner map when
-/// partitioned.
+/// partitioned. Dirty blocks are a set of keys beside it.
 class RefLru {
  public:
   explicit RefLru(std::size_t capacity) : capacity_(capacity) {}
@@ -48,39 +51,28 @@ class RefLru {
     if (!parts_.empty()) return owner_.count(key) != 0;
     return map_.count(key) != 0;
   }
-  bool touch(std::uint64_t key) {
-    if (!parts_.empty()) {
-      const auto it = owner_.find(key);
-      if (it == owner_.end()) return false;
-      return parts_[it->second].touch(key);
-    }
-    const auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    order_.splice(order_.begin(), order_, it->second);
+  bool touch(std::uint64_t key, bool dirty = false) {
+    if (!promote(key)) return false;
+    if (dirty) dirty_.insert(key);
     return true;
   }
-  std::optional<std::uint64_t> insert(std::uint64_t key, std::uint32_t owner) {
+  std::optional<RefVictim> insert(std::uint64_t key, std::uint32_t owner,
+                                  bool dirty) {
+    if (touch(key, dirty)) return std::nullopt;
+    if (dirty) dirty_.insert(key);
+    std::optional<std::uint64_t> victim;
     if (!parts_.empty()) {
-      const auto it = owner_.find(key);
-      if (it != owner_.end()) {
-        parts_[it->second].touch(key);
-        return std::nullopt;
-      }
       owner_.emplace(key, owner);
-      const auto victim = parts_[owner].insert(key, 0);
+      victim = parts_[owner].push(key);
       if (victim) owner_.erase(*victim);
-      return victim;
+    } else {
+      victim = push(key);
     }
-    if (touch(key)) return std::nullopt;
-    order_.push_front(key);
-    map_.emplace(key, order_.begin());
-    if (map_.size() <= capacity_) return std::nullopt;
-    const std::uint64_t victim = order_.back();
-    order_.pop_back();
-    map_.erase(victim);
-    return victim;
+    if (!victim) return std::nullopt;
+    return leave(*victim);
   }
   bool erase(std::uint64_t key) {
+    dirty_.erase(key);
     if (!parts_.empty()) {
       const auto it = owner_.find(key);
       if (it == owner_.end()) return false;
@@ -111,6 +103,7 @@ class RefLru {
     order_.clear();
     map_.clear();
     owner_.clear();
+    dirty_.clear();
     parts_.clear();
     for (std::size_t quota : quotas) parts_.emplace_back(quota);
   }
@@ -125,32 +118,62 @@ class RefLru {
     if (it == owner_.end()) return std::nullopt;
     return it->second;
   }
-  std::vector<std::uint64_t> set_partition_quota(std::uint32_t t,
-                                                 std::size_t quota) {
+  std::vector<RefVictim> set_partition_quota(std::uint32_t t,
+                                             std::size_t quota) {
     RefLru& part = parts_[t];
     part.capacity_ = quota;
-    std::vector<std::uint64_t> victims;
+    std::vector<RefVictim> victims;
     while (part.map_.size() > quota) {
       const std::uint64_t victim = part.order_.back();
       part.order_.pop_back();
       part.map_.erase(victim);
       owner_.erase(victim);
-      victims.push_back(victim);
+      victims.push_back(leave(victim));
     }
     return victims;
   }
 
  private:
+  /// Moves a resident key to the front of its list.
+  bool promote(std::uint64_t key) {
+    if (!parts_.empty()) {
+      const auto it = owner_.find(key);
+      if (it == owner_.end()) return false;
+      return parts_[it->second].promote(key);
+    }
+    const auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    order_.splice(order_.begin(), order_, it->second);
+    return true;
+  }
+  /// Adds a new key at the front; returns the key pushed out past the
+  /// capacity, if any.
+  std::optional<std::uint64_t> push(std::uint64_t key) {
+    order_.push_front(key);
+    map_.emplace(key, order_.begin());
+    if (map_.size() <= capacity_) return std::nullopt;
+    const std::uint64_t victim = order_.back();
+    order_.pop_back();
+    map_.erase(victim);
+    return victim;
+  }
+  RefVictim leave(std::uint64_t key) { return {key, dirty_.erase(key) != 0}; }
+
   std::size_t capacity_;
   std::list<std::uint64_t> order_;
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
   std::vector<RefLru> parts_;
   std::unordered_map<std::uint64_t, std::uint32_t> owner_;
+  std::set<std::uint64_t> dirty_;
 };
 
 std::optional<std::uint64_t> packed(const std::optional<BlockKey>& key) {
   if (!key) return std::nullopt;
   return key->packed();
+}
+
+RefVictim ref_victim(const Victim& victim) {
+  return {victim.key.packed(), victim.dirty};
 }
 
 struct LruCase {
@@ -199,9 +222,11 @@ TEST_P(LruDifferentialTest, MatchesListMapReference) {
     const BlockKey key = random_key();
     switch (rng.next_below(10)) {
       case 0:
-      case 1:
-        ASSERT_EQ(cache.touch(key), ref.touch(key.packed()));
+      case 1: {
+        const bool dirty = rng.next_below(2) == 0;
+        ASSERT_EQ(cache.touch(key, dirty), ref.touch(key.packed(), dirty));
         break;
+      }
       case 2: {
         // touch_run is n successive touches that stop at the first miss.
         const auto n = static_cast<std::uint32_t>(rng.next_below(9));
@@ -215,8 +240,10 @@ TEST_P(LruDifferentialTest, MatchesListMapReference) {
       case 6: {
         const auto owner =
             static_cast<std::uint32_t>(rng.next_below(owners));
-        ASSERT_EQ(packed(cache.insert(key, owner)),
-                  ref.insert(key.packed(), owner));
+        const bool dirty = rng.next_below(2) == 0;
+        const std::optional<Victim> victim = cache.insert(key, owner, dirty);
+        ASSERT_EQ(victim ? std::optional(ref_victim(*victim)) : std::nullopt,
+                  ref.insert(key.packed(), owner, dirty));
         break;
       }
       case 7:
@@ -244,9 +271,9 @@ TEST_P(LruDifferentialTest, MatchesListMapReference) {
           break;
         }
         const std::size_t quota = 1 + rng.next_below(limit);
-        std::vector<std::uint64_t> victims;
-        for (BlockKey v : cache.set_partition_quota(t, quota)) {
-          victims.push_back(v.packed());
+        std::vector<RefVictim> victims;
+        for (const Victim& v : cache.set_partition_quota(t, quota)) {
+          victims.push_back(ref_victim(v));
         }
         ASSERT_EQ(victims, ref.set_partition_quota(t, quota));
         break;

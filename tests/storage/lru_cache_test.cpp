@@ -36,7 +36,7 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   cache.insert(key(0, 2));
   const auto evicted = cache.insert(key(0, 3));
   ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, key(0, 1));
+  EXPECT_EQ(evicted->key, key(0, 1));
   EXPECT_FALSE(cache.contains(key(0, 1)));
   EXPECT_TRUE(cache.contains(key(0, 2)));
   EXPECT_TRUE(cache.contains(key(0, 3)));
@@ -49,7 +49,7 @@ TEST(LruCacheTest, TouchPromotes) {
   EXPECT_TRUE(cache.touch(key(0, 1)));  // 1 becomes MRU
   const auto evicted = cache.insert(key(0, 3));
   ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, key(0, 2));  // 2 was LRU
+  EXPECT_EQ(evicted->key, key(0, 2));  // 2 was LRU
 }
 
 TEST(LruCacheTest, TouchMissingReturnsFalse) {
@@ -65,7 +65,7 @@ TEST(LruCacheTest, ReinsertResidentPromotesWithoutEviction) {
   EXPECT_EQ(cache.size(), 2u);
   const auto evicted = cache.insert(key(0, 3));
   ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, key(0, 2));
+  EXPECT_EQ(evicted->key, key(0, 2));
 }
 
 TEST(LruCacheTest, Erase) {
@@ -128,6 +128,40 @@ TEST(LruCacheTest, TouchRunMatchesSequentialTouches) {
   for (std::uint64_t b = 100; b < 106; ++b) {
     EXPECT_EQ(run_cache.insert(key(0, b)), loop_cache.insert(key(0, b)));
   }
+}
+
+TEST(LruCacheTest, DirtyBitFollowsTheBlockUntilItLeaves) {
+  LruCache cache(2);
+  EXPECT_EQ(cache.insert(key(0, 1), 0, /*dirty=*/true), std::nullopt);
+  cache.insert(key(0, 2));
+  // A clean block leaves clean; the written one leaves dirty.
+  EXPECT_EQ(cache.insert(key(0, 3)), (Victim{key(0, 1), true}));
+  EXPECT_EQ(cache.insert(key(0, 4)), (Victim{key(0, 2), false}));
+  // A write hit dirties a resident block, a read hit leaves it as it is,
+  // and a write re-insert of a resident block dirties it too.
+  EXPECT_TRUE(cache.touch(key(0, 3), /*dirty=*/true));
+  EXPECT_TRUE(cache.touch(key(0, 3)));
+  EXPECT_EQ(cache.insert(key(0, 4), 0, /*dirty=*/true), std::nullopt);
+  EXPECT_EQ(cache.insert(key(0, 5)), (Victim{key(0, 3), true}));
+  EXPECT_EQ(cache.insert(key(0, 6)), (Victim{key(0, 4), true}));
+  // Block 5 reused block 3's dirty entry, yet leaves clean.
+  EXPECT_EQ(cache.insert(key(0, 7)), (Victim{key(0, 5), false}));
+  // Erased and refilled, a block is clean again.
+  cache.insert(key(0, 8), 0, /*dirty=*/true);
+  EXPECT_TRUE(cache.erase(key(0, 8)));
+  cache.insert(key(0, 8));
+  EXPECT_EQ(cache.insert(key(0, 9)), (Victim{key(0, 7), false}));
+  EXPECT_EQ(cache.insert(key(0, 10)), (Victim{key(0, 8), false}));
+}
+
+TEST(LruCacheTest, ZeroCapacityCacheRefusesABlockWithItsDirtyBit) {
+  // A default-constructed cache holds nothing: the block comes straight
+  // back as its own victim, still dirty, so its write-back is not lost.
+  LruCache cache;
+  EXPECT_EQ(cache.insert(key(0, 1), 0, /*dirty=*/true),
+            (Victim{key(0, 1), true}));
+  EXPECT_EQ(cache.insert(key(0, 2)), (Victim{key(0, 2), false}));
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(LruCacheTest, TouchRunStopsAtFirstMiss) {

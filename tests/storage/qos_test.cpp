@@ -139,7 +139,7 @@ TEST(LruPartitionTest, VictimsComeFromTheOwnersOwnPartition) {
   // (block 1), never tenant 1's resident block.
   const auto victim = cache.insert({0, 3}, 0);
   ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, (BlockKey{0, 1}));
+  EXPECT_EQ(victim->key, (BlockKey{0, 1}));
   EXPECT_TRUE(cache.contains({1, 1}));
   EXPECT_EQ(cache.partition_occupancy(0), 2u);
   EXPECT_EQ(cache.partition_occupancy(1), 1u);
@@ -185,12 +185,12 @@ TEST(LruPartitionTest, ShrinkingAQuotaEvictsItsLruBlocks) {
   LruCache cache(4);
   cache.set_partitions({3, 1});
   cache.insert({0, 1}, 0);
-  cache.insert({0, 2}, 0);
+  cache.insert({0, 2}, 0, /*dirty=*/true);
   cache.insert({0, 3}, 0);
   const auto victims = cache.set_partition_quota(0, 1);
   ASSERT_EQ(victims.size(), 2u);
-  EXPECT_EQ(victims[0], (BlockKey{0, 1}));  // LRU first
-  EXPECT_EQ(victims[1], (BlockKey{0, 2}));
+  EXPECT_EQ(victims[0], (Victim{{0, 1}, false}));  // LRU first
+  EXPECT_EQ(victims[1], (Victim{{0, 2}, true}));   // with its dirty bit
   EXPECT_EQ(cache.partition_quota(0), 1u);
   EXPECT_TRUE(cache.contains({0, 3}));
   // Growing never evicts.
@@ -326,6 +326,46 @@ TEST(SimulatorQosTest, EvictionsAreAttributedToTheInsertingTenant) {
   EXPECT_EQ(result.tenants[0].io_evictions + result.tenants[1].io_evictions,
             result.io.evictions);
   EXPECT_LE(result.tenants[1].occupancy_peak, 4u);
+}
+
+TEST(SimulatorQosTest, DirtyBlockTrimmedByARebalanceIsWrittenBack) {
+  // Tenant 0 writes blocks 10 and 11, then only re-reads 11; tenant 1
+  // misses on every access. Once an epoch sees tenant 0 miss nothing, the
+  // rebalance shrinks its 2-block I/O quota to 1 and trims block 10, its
+  // LRU block. Tenant 0 never misses again, so that trim is the only way
+  // block 10 leaves: written, it must be written back; read, it must not.
+  const auto run = [](bool dynamic, bool writes) {
+    TopologyConfig c = qos_config({1, 1});
+    c.model_writes = true;
+    c.qos.dynamic_shares = dynamic;
+    c.qos.epoch_accesses = 8;
+    HierarchySimulator sim(StorageTopology(c), PolicyKind::kLruInclusive,
+                           {0, 0});
+    sim.set_tenants({0, 1}, 2);
+    TraceProgram trace;
+    trace.file_blocks = {64};
+    PhaseTrace phase;
+    phase.per_thread.resize(2);
+    phase.per_thread[0].push_back({0, 10, 1, writes});
+    phase.per_thread[0].push_back({0, 11, 1, writes});
+    for (int i = 0; i < 60; ++i) phase.per_thread[0].push_back({0, 11, 1});
+    for (std::uint64_t b = 30; b < 50; ++b) {
+      phase.per_thread[1].push_back({0, b, 1});
+    }
+    trace.phases.push_back(std::move(phase));
+    return sim.run(trace);
+  };
+  const SimulationResult trimmed = run(true, true);
+  ASSERT_EQ(trimmed.tenants.size(), 2u);
+  EXPECT_EQ(trimmed.tenants[0].io_evictions, 1u);
+  EXPECT_EQ(trimmed.writebacks, 1u);
+  EXPECT_EQ(trimmed.disk_writes, 1u);
+  const SimulationResult clean = run(true, false);
+  EXPECT_EQ(clean.tenants[0].io_evictions, 1u);
+  EXPECT_EQ(clean.writebacks, 0u);
+  const SimulationResult kept = run(false, true);
+  EXPECT_EQ(kept.tenants[0].io_evictions, 0u);
+  EXPECT_EQ(kept.writebacks, 0u);
 }
 
 TEST(SimulatorQosTest, FewerSharesThanTenantsRejected) {

@@ -93,6 +93,20 @@ TEST(StatsWireTest, TrailingFieldsAreRejected) {
   EXPECT_FALSE(from_wire(v4).has_value());
 }
 
+TEST(StatsWireTest, SignedCountsAreRejected) {
+  // io.lookups is the first count after the tag; a count is digits only,
+  // so neither "-1" (which would wrap to 2^64 - 1) nor "+1" is read.
+  const std::string wire = to_wire(sample_result());
+  const std::size_t begin = wire.find(' ') + 1;
+  const std::size_t end = wire.find(' ', begin);
+  ASSERT_EQ(wire.substr(begin, end - begin), "100");
+  for (const char* count : {"-1", "+1"}) {
+    std::string line = wire;
+    line.replace(begin, end - begin, count);
+    EXPECT_FALSE(from_wire(line).has_value()) << line;
+  }
+}
+
 TEST(StatsWireTest, TruncatedLinesAreRejectedNotCrashed) {
   const std::string wire = to_wire(sample_result());
   for (std::size_t cut = 0; cut < wire.size(); cut += 11) {
