@@ -99,27 +99,64 @@ storage::SimulationResult simulate(const ir::Program& program,
   return attach_bound(simulator.run(source), source);
 }
 
-}  // namespace
+bool is_internode(Scheme scheme) {
+  return scheme == Scheme::kInterNode || scheme == Scheme::kInterNodeIoOnly ||
+         scheme == Scheme::kInterNodeStorageOnly;
+}
 
-CompiledExperiment compile_experiment(const ir::Program& program,
-                                      const ExperimentConfig& config) {
-  const obs::ScopedSpan span(
-      "compile.experiment", "compile",
-      obs::enabled() ? obs::SpanArgs{{"program", program.name()},
-                                     {"scheme", scheme_name(config.scheme)}}
-                     : obs::SpanArgs{});
-  const storage::StorageTopology topology(config.topology);
+/// The optimizer options an inter-node scheme compiles under.
+OptimizerOptions optimizer_options(const ExperimentConfig& config) {
+  OptimizerOptions options;
+  options.mask = config.scheme == Scheme::kInterNodeIoOnly
+                     ? layout::LayerMask::kIoOnly
+                 : config.scheme == Scheme::kInterNodeStorageOnly
+                     ? layout::LayerMask::kStorageOnly
+                     : layout::LayerMask::kBoth;
+  options.partitioning.weighted = !config.unweighted_step1;
+  options.solver = config.solver;
+  return options;
+}
+
+/// What every compile checks and derives first: the simulated topology,
+/// one thread per compute node, the topology Step II compiles against
+/// (Section 4.3's template-hierarchy runs name the family's reference
+/// topology), and the schedule.
+struct CompileInputs {
+  storage::StorageTopology topology;
+  storage::StorageTopology compile_topology;
+  parallel::ParallelSchedule schedule;
+};
+
+CompileInputs compile_inputs(const ir::Program& program,
+                             const ExperimentConfig& config) {
+  storage::StorageTopology topology(config.topology);
   if (config.threads != config.topology.compute_nodes) {
     throw std::invalid_argument(
         "run_experiment: one thread per compute node is assumed");
   }
-  // Template-hierarchy runs (Section 4.3) compile against the family's
-  // reference topology instead of the one being simulated.
-  const storage::StorageTopology compile_topology(
+  storage::StorageTopology compile_topology(
       config.compile_topology.value_or(config.topology));
-  CompiledExperiment out{
-      parallel::ParallelSchedule(program, config.threads, config.mapping),
-      {}, {}, 0};
+  return {std::move(topology), std::move(compile_topology),
+          parallel::ParallelSchedule(program, config.threads, config.mapping)};
+}
+
+/// The span every compile opens.
+obs::SpanArgs compile_span_args(const ir::Program& program,
+                                const ExperimentConfig& config) {
+  return obs::enabled() ? obs::SpanArgs{{"program", program.name()},
+                                        {"scheme", scheme_name(config.scheme)}}
+                        : obs::SpanArgs{};
+}
+
+}  // namespace
+
+CompiledExperiment compile_experiment(const ir::Program& program,
+                                      const ExperimentConfig& config) {
+  const obs::ScopedSpan span("compile.experiment", "compile",
+                             compile_span_args(program, config));
+  CompileInputs in = compile_inputs(program, config);
+  const storage::StorageTopology& topology = in.topology;
+  CompiledExperiment out{std::move(in.schedule), {}, {}, 0};
 
   switch (config.scheme) {
     case Scheme::kDefault: {
@@ -129,17 +166,9 @@ CompiledExperiment compile_experiment(const ir::Program& program,
     case Scheme::kInterNode:
     case Scheme::kInterNodeIoOnly:
     case Scheme::kInterNodeStorageOnly: {
-      OptimizerOptions options;
-      options.mask = config.scheme == Scheme::kInterNodeIoOnly
-                         ? layout::LayerMask::kIoOnly
-                     : config.scheme == Scheme::kInterNodeStorageOnly
-                         ? layout::LayerMask::kStorageOnly
-                         : layout::LayerMask::kBoth;
-      options.partitioning.weighted = !config.unweighted_step1;
-      options.solver = config.solver;
-      const FileLayoutOptimizer optimizer(compile_topology);
-      OptimizationResult opt =
-          optimizer.optimize(program, out.schedule, options);
+      const FileLayoutOptimizer optimizer(std::move(in.compile_topology));
+      OptimizationResult opt = optimizer.optimize(program, out.schedule,
+                                                  optimizer_options(config));
       out.plan = std::move(opt.plan);
       out.layouts = std::move(opt.layouts);
       break;
@@ -168,6 +197,16 @@ CompiledExperiment compile_experiment(const ir::Program& program,
     obs::registry().counter("sim.profiler_runs").add(out.profiler_runs);
   }
   return out;
+}
+
+layout::ProgramTransformPlan compile_plan(const ir::Program& program,
+                                          const ExperimentConfig& config) {
+  const obs::ScopedSpan span("compile.experiment", "compile",
+                             compile_span_args(program, config));
+  CompileInputs in = compile_inputs(program, config);
+  if (!is_internode(config.scheme)) return {};
+  const FileLayoutOptimizer optimizer(std::move(in.compile_topology));
+  return optimizer.plan(program, in.schedule, optimizer_options(config));
 }
 
 storage::SimulationResult simulate_experiment(

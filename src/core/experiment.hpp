@@ -91,6 +91,13 @@ struct ExperimentResult {
 CompiledExperiment compile_experiment(const ir::Program& program,
                                       const ExperimentConfig& config);
 
+/// The transform plan alone: exactly compile_experiment(program,
+/// config).plan, with the same checks and exceptions, but the inter-node
+/// schemes stop Step II at its census and build no layout, and the other
+/// schemes (whose plan is empty) compile nothing. What flo_serve returns.
+layout::ProgramTransformPlan compile_plan(const ir::Program& program,
+                                          const ExperimentConfig& config);
+
 /// Runs the simulation half against a precompiled cell: trace (streaming
 /// or eager), KARMA hints when the policy needs them, simulation.
 /// Thread-safe for concurrent calls sharing one `compiled`.

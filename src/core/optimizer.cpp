@@ -1,5 +1,7 @@
 #include "core/optimizer.hpp"
 
+#include <optional>
+
 #include "layout/canonical.hpp"
 #include "obs/span.hpp"
 #include "util/log.hpp"
@@ -12,13 +14,27 @@ FileLayoutOptimizer::FileLayoutOptimizer(storage::StorageTopology topology)
 OptimizationResult FileLayoutOptimizer::optimize(
     const ir::Program& program, const parallel::ParallelSchedule& schedule,
     const OptimizerOptions& options) const {
+  OptimizationResult result;
+  result.plan = compile(program, schedule, options, &result.layouts);
+  return result;
+}
+
+layout::ProgramTransformPlan FileLayoutOptimizer::plan(
+    const ir::Program& program, const parallel::ParallelSchedule& schedule,
+    const OptimizerOptions& options) const {
+  return compile(program, schedule, options, nullptr);
+}
+
+layout::ProgramTransformPlan FileLayoutOptimizer::compile(
+    const ir::Program& program, const parallel::ParallelSchedule& schedule,
+    const OptimizerOptions& options, layout::LayoutMap* layouts) const {
   const obs::ScopedSpan span("compile.optimize", "compile",
                              obs::enabled()
                                  ? obs::SpanArgs{{"program", program.name()}}
                                  : obs::SpanArgs{});
-  OptimizationResult result;
-  result.plan.program_name = program.name();
-  result.layouts.reserve(program.arrays().size());
+  layout::ProgramTransformPlan result;
+  result.program_name = program.name();
+  if (layouts != nullptr) layouts->reserve(program.arrays().size());
 
   for (ir::ArrayId a = 0; a < program.arrays().size(); ++a) {
     layout::ArrayTransformPlan plan;
@@ -64,20 +80,31 @@ OptimizationResult FileLayoutOptimizer::optimize(
                     << " weighted references satisfiable)";
     }
     layout::FileLayoutPtr chosen;
+    const auto record = [&plan](const layout::ChunkPattern& pattern) {
+      plan.optimized = true;
+      plan.pattern_elements = pattern.pattern_elements();
+      plan.chunk_elements = pattern.chunk_elements();
+    };
     if (!too_small_to_matter && !too_conflicted) {
       // Step II: hierarchy-aware chunk-pattern construction (Algorithm 1),
-      // consuming the Step I result the solver already produced.
+      // consuming the Step I result the solver already produced. The plan
+      // reads only the pattern, which the census alone determines.
       const obs::ScopedSpan step2("compile.step2", "compile");
-      chosen = layout::build_internode_layout(
-          program, a, plan.partitioning, schedule, topology_, options.mask);
+      if (layouts != nullptr) {
+        chosen = layout::build_internode_layout(
+            program, a, plan.partitioning, schedule, topology_, options.mask);
+        if (chosen) {
+          record(static_cast<const layout::InterNodeLayout&>(*chosen)
+                     .pattern());
+        }
+      } else if (const std::optional<layout::InterNodeCensus> census =
+                     layout::internode_census(program, a, plan.partitioning,
+                                              schedule, topology_,
+                                              options.mask)) {
+        record(census->pattern);
+      }
     }
-    if (chosen) {
-      plan.optimized = true;
-      const auto* internode =
-          static_cast<const layout::InterNodeLayout*>(chosen.get());
-      plan.pattern_elements = internode->pattern().pattern_elements();
-      plan.chunk_elements = internode->pattern().chunk_elements();
-    } else {
+    if (!chosen && layouts != nullptr) {
       chosen = std::make_unique<layout::RowMajorLayout>(
           program.array(a).space());
     }
@@ -95,8 +122,8 @@ OptimizationResult FileLayoutOptimizer::optimize(
         reg.counter("compile.arrays_skipped_conflicted").add(1);
       }
     }
-    result.layouts.push_back(std::move(chosen));
-    result.plan.arrays.push_back(std::move(plan));
+    if (layouts != nullptr) layouts->push_back(std::move(chosen));
+    result.arrays.push_back(std::move(plan));
   }
   if (obs::enabled()) {
     obs::registry()

@@ -39,9 +39,23 @@ class FileLayoutOptimizer {
                               const parallel::ParallelSchedule& schedule,
                               const OptimizerOptions& options = {}) const;
 
+  /// The transform plan alone: byte for byte optimize().plan, from Step I
+  /// and Step II's census, without building any layout.
+  layout::ProgramTransformPlan plan(const ir::Program& program,
+                                    const parallel::ParallelSchedule& schedule,
+                                    const OptimizerOptions& options = {}) const;
+
   const storage::StorageTopology& topology() const { return topology_; }
 
  private:
+  /// Step I, the profitability and conflict gates and Step II for every
+  /// array. With `layouts` non-null each array's layout is built into it;
+  /// otherwise Step II stops at the census.
+  layout::ProgramTransformPlan compile(const ir::Program& program,
+                                       const parallel::ParallelSchedule& schedule,
+                                       const OptimizerOptions& options,
+                                       layout::LayoutMap* layouts) const;
+
   storage::StorageTopology topology_;
 };
 

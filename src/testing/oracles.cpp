@@ -468,7 +468,8 @@ std::optional<std::string> check_event_vs_clock(const FuzzCase& fc) {
 
 /// The layout-bijection walk, parameterized by optimizer options so both
 /// the default-path oracle and the solver-agreement oracle (which runs it
-/// once per Step I backend) share one implementation.
+/// once per Step I backend) share one implementation. It also holds the
+/// plan-only compile (Step II's census) to the built layouts' plan.
 std::optional<std::string> check_bijection_with(
     const FuzzCase& fc, const core::OptimizerOptions& options) {
   const core::ExperimentConfig config =
@@ -479,6 +480,10 @@ std::optional<std::string> check_bijection_with(
   const core::FileLayoutOptimizer optimizer(topology);
   const core::OptimizationResult result =
       optimizer.optimize(fc.program, schedule, options);
+  if (optimizer.plan(fc.program, schedule, options).to_string() !=
+      result.plan.to_string()) {
+    return std::string("plan() renders another plan than optimize()");
+  }
 
   for (std::size_t a = 0; a < fc.program.arrays().size(); ++a) {
     const ir::ArrayDecl& array = fc.program.arrays()[a];

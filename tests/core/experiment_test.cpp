@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+#include <vector>
+
 #include "ir/builder.hpp"
+#include "service/server.hpp"
+#include "workloads/suite.hpp"
 
 namespace flo::core {
 namespace {
@@ -59,6 +65,85 @@ TEST(ExperimentTest, ThreadCountMustMatchComputeNodes) {
   config.threads = 4;
   EXPECT_THROW(run_experiment(bench_program(), config),
                std::invalid_argument);
+}
+
+TEST(ExperimentTest, CompilePlanIsCompileExperimentsPlan) {
+  // Every paper app under every inter-node scheme, with both cache
+  // capacities scaled as flo_serve scales them, compiled against the exact
+  // topology and against its template-family reference.
+  const Scheme schemes[] = {Scheme::kInterNode, Scheme::kInterNodeIoOnly,
+                            Scheme::kInterNodeStorageOnly};
+  const storage::TopologyConfig paper = storage::TopologyConfig::paper_default();
+  const std::vector<workloads::Workload> suite = workloads::workload_suite();
+  for (const auto& app : suite) {
+    for (const Scheme scheme : schemes) {
+      for (const double scale : {0.5, 1.0, 2.0}) {
+        for (const bool templated : {false, true}) {
+          ExperimentConfig config;
+          config.scheme = scheme;
+          config.topology.io_cache_bytes = static_cast<std::uint64_t>(
+              static_cast<double>(paper.io_cache_bytes) * scale);
+          config.topology.storage_cache_bytes = static_cast<std::uint64_t>(
+              static_cast<double>(paper.storage_cache_bytes) * scale);
+          if (templated) {
+            config.compile_topology =
+                service::family_reference(config.topology);
+          }
+          SCOPED_TRACE(app.name + " / " + scheme_name(scheme) + " / x" +
+                       std::to_string(scale) +
+                       (templated ? " / template" : " / exact"));
+          EXPECT_EQ(compile_plan(app.program, config).to_string(),
+                    compile_experiment(app.program, config).plan.to_string());
+        }
+      }
+    }
+  }
+  // The default scheme's plan is empty in both.
+  const ExperimentConfig plain;
+  const auto& app = suite.front();
+  EXPECT_TRUE(compile_plan(app.program, plain).arrays.empty());
+  EXPECT_EQ(compile_plan(app.program, plain).to_string(),
+            compile_experiment(app.program, plain).plan.to_string());
+}
+
+TEST(ExperimentTest, CompilePlanChecksWhatCompileExperimentChecks) {
+  const auto p = bench_program();
+  const auto failure = [&](const auto& compile, ExperimentConfig config) {
+    try {
+      compile(p, config);
+    } catch (const std::exception& e) {
+      return std::string(typeid(e).name()) + ": " + e.what();
+    }
+    return std::string("no exception");
+  };
+  const auto full = [](const ir::Program& program,
+                       const ExperimentConfig& config) {
+    (void)compile_experiment(program, config);
+  };
+  const auto plan = [](const ir::Program& program,
+                       const ExperimentConfig& config) {
+    (void)compile_plan(program, config);
+  };
+  ExperimentConfig threads = small_config();
+  threads.threads = 4;
+  ExperimentConfig topology = small_config();
+  topology.topology.io_nodes = 3;  // does not divide 8 compute nodes
+  ExperimentConfig compile_topology = small_config();
+  compile_topology.compile_topology = compile_topology.topology;
+  compile_topology.compile_topology->storage_nodes = 3;
+  // Also the schemes whose plan is empty: compile_plan skips their compile
+  // but not the checks.
+  for (const Scheme scheme :
+       {Scheme::kInterNode, Scheme::kDefault, Scheme::kComputationMapping,
+        Scheme::kDimensionReindexing}) {
+    for (ExperimentConfig config : {threads, topology, compile_topology}) {
+      config.scheme = scheme;
+      SCOPED_TRACE(scheme_name(scheme));
+      const std::string expected = failure(full, config);
+      EXPECT_NE(expected, "no exception");
+      EXPECT_EQ(failure(plan, config), expected);
+    }
+  }
 }
 
 TEST(ExperimentTest, LayerMaskedSchemesRun) {

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <typeinfo>
 #include <utility>
 
 #include "ir/builder.hpp"
@@ -222,6 +224,68 @@ TEST(InterNodeLayoutTest, RequiresPartitionedInput) {
                std::invalid_argument);
 }
 
+/// The census's pattern, counts and patterned end against the layout
+/// built from the same arguments: the same pattern, the closed-form end
+/// equal to the layout's, and each thread's count equal to the touched
+/// elements its slots hold. False when the array is not partitioned, so
+/// neither entry builds anything.
+bool expect_census_matches_layout(const ir::Program& p,
+                                  const parallel::ParallelSchedule& schedule,
+                                  const storage::StorageTopology& topology,
+                                  LayerMask mask, ir::ArrayId array) {
+  const ArrayPartitioning partitioning = partition_array(p, array, schedule);
+  const auto census =
+      internode_census(p, array, partitioning, schedule, topology, mask);
+  const auto generic = build_internode_layout(p, array, partitioning,
+                                              schedule, topology, mask);
+  EXPECT_EQ(census.has_value(), generic != nullptr);
+  if (!census || generic == nullptr) return false;
+  const InterNodeLayout& layout = as_internode(generic);
+  EXPECT_EQ(census->pattern.describe(), layout.pattern().describe());
+  EXPECT_EQ(census->pattern.chunk_elements(), layout.pattern().chunk_elements());
+  EXPECT_EQ(census->pattern.pattern_elements(),
+            layout.pattern().pattern_elements());
+  EXPECT_EQ(census->pattern.repetitions(), layout.pattern().repetitions());
+  const auto& space = p.array(array).space();
+  const std::int64_t patterned_end =
+      layout.file_slots() - space.element_count();
+  EXPECT_EQ(census->patterned_slots, patterned_end);
+
+  // Against the materialized slots: one past the largest touched slot,
+  // and each thread's touched elements.
+  std::int64_t end = 0;
+  std::vector<std::uint64_t> held(schedule.thread_count(), 0);
+  for (std::int64_t i = 0; i < space.element_count(); ++i) {
+    const auto point = space.delinearize_row_major(i);
+    const std::int64_t slot = layout.slot(point);
+    if (slot >= patterned_end) continue;
+    end = std::max(end, slot + 1);
+    ++held[layout.owner(point)];
+  }
+  EXPECT_EQ(census->patterned_slots, end);
+  EXPECT_EQ(census->share, held);
+  for (parallel::ThreadId t = 0; t < schedule.thread_count(); ++t) {
+    for (std::uint64_t x = 0; x < 4; ++x) {
+      EXPECT_EQ(census->pattern.chunk_start(t, x),
+                layout.pattern().chunk_start(t, x));
+    }
+  }
+  return true;
+}
+
+/// `what()` of the `E` that `f` throws, after its dynamic type's name, so
+/// two calls compare equal only when they throw the same type and text.
+template <typename E, typename F>
+std::string thrown(F&& f) {
+  try {
+    f();
+  } catch (const E& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  ADD_FAILURE() << "expected an exception";
+  return {};
+}
+
 TEST(InterNodeLayoutTest, TouchedCountMatchesAccessImage) {
   const auto p = transposed_program(32);
   const parallel::ParallelSchedule schedule(p, 8);
@@ -258,8 +322,11 @@ TEST(InterNodeLayoutTest, SparseImagePacksOnlyTouchedElements) {
   EXPECT_LT(untouched_slot, layout->file_slots());
 }
 
-TEST(InterNodeLayoutTest, SlotsMatchReferencePacking) {
-  const std::vector<ir::Program> programs = {
+/// Shapes the layout build must handle: dense, sparse, banded, several
+/// references, three dimensions, a ragged bitmap end, negative and zero
+/// row strides, nests of two depths and an inner parallel loop.
+std::vector<ir::Program> hand_picked_programs() {
+  return {
       transposed_program(32),
       sparse_rows_program(),
       diagonal_band_program(8),
@@ -319,7 +386,10 @@ TEST(InterNodeLayoutTest, SlotsMatchReferencePacking) {
           .done()
           .build(),
   };
-  for (const auto& p : programs) {
+}
+
+TEST(InterNodeLayoutTest, SlotsMatchReferencePacking) {
+  for (const auto& p : hand_picked_programs()) {
     SCOPED_TRACE(p.name());
     const parallel::ParallelSchedule schedule(p, 8);
     const auto generic =
@@ -354,6 +424,33 @@ TEST(InterNodeLayoutTest, RandomProgramsMatchReferencePacking) {
   EXPECT_GT(compared, 200u);
 }
 
+TEST(InterNodeLayoutTest, CensusMatchesTheBuiltLayout) {
+  for (const auto& p : hand_picked_programs()) {
+    SCOPED_TRACE(p.name());
+    EXPECT_TRUE(expect_census_matches_layout(
+        p, parallel::ParallelSchedule(p, 8), small_topology(),
+        LayerMask::kBoth, 0));
+  }
+  util::Rng rng(20240);
+  const LayerMask masks[] = {LayerMask::kBoth, LayerMask::kIoOnly,
+                             LayerMask::kStorageOnly};
+  std::size_t compared = 0;
+  for (int i = 0; i < 300; ++i) {
+    const flo::testing::FuzzCase fc = flo::testing::random_case(rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + fc.system.describe());
+    const storage::StorageTopology topology(fc.system.config);
+    const parallel::ParallelSchedule schedule(fc.program, fc.system.threads,
+                                              fc.system.mapping);
+    for (ir::ArrayId a = 0; a < fc.program.arrays().size(); ++a) {
+      if (expect_census_matches_layout(fc.program, schedule, topology,
+                                       masks[i % 3], a)) {
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 200u);
+}
+
 TEST(InterNodeLayoutTest, ReferenceLeavingTheBoxThrows) {
   // ir::Program::add_nest checks array ids and ranks but not the box, so
   // these programs reach the layout with a reference leaving it: past the
@@ -383,8 +480,16 @@ TEST(InterNodeLayoutTest, ReferenceLeavingTheBoxThrows) {
                         ir::AccessKind::kRead});
     p.add_nest(std::move(nest));
     const parallel::ParallelSchedule schedule(p, 8);
-    EXPECT_THROW(build_internode_layout(p, 0, schedule, small_topology()),
-                 std::out_of_range);
+    const ArrayPartitioning partitioning = partition_array(p, 0, schedule);
+    // The census alone throws exactly what the full build throws.
+    const std::string built = thrown<std::out_of_range>([&] {
+      build_internode_layout(p, 0, partitioning, schedule, small_topology());
+    });
+    EXPECT_FALSE(built.empty());
+    EXPECT_EQ(built, thrown<std::out_of_range>([&] {
+                internode_census(p, 0, partitioning, schedule,
+                                 small_topology());
+              }));
   }
 }
 
@@ -516,16 +621,36 @@ TEST(InterNodeLayoutTest, SlotsStopAtTheThirtyTwoBitLimit) {
   EXPECT_EQ(at_limit->file_slots(), static_cast<std::int64_t>(limit) +
                                         p.array(0).space().element_count());
   expect_reference_packing(p, schedule, *at_limit, 0);
-  EXPECT_THROW(build(limit - 7), std::length_error);
+  // The census alone finds the same end in closed form and throws exactly
+  // what the full build throws.
+  const auto census = [&](std::uint64_t chunk) {
+    return InterNodeLayout::census(
+        p, 0, partitioning, schedule,
+        std::vector<PatternLayer>{{chunk * 2 * element_size, 1}},
+        std::vector<std::size_t>{}, chunk);
+  };
+  EXPECT_EQ(census(limit - 8).patterned_slots,
+            static_cast<std::int64_t>(limit));
+  const std::string built =
+      thrown<std::length_error>([&] { build(limit - 7); });
+  EXPECT_FALSE(built.empty());
+  EXPECT_EQ(built, thrown<std::length_error>([&] { census(limit - 7); }));
   // Chunks of 2^30 slots for eight threads of one cache: threads 4..7
   // start at 2^32.
   const auto wide = transposed_program(8);
   const parallel::ParallelSchedule eight(wide, 8);
+  const ArrayPartitioning wide_partitioning =
+      partition_array(wide, 0, eight);
   const std::uint64_t chunk = std::uint64_t{1} << 30;
-  EXPECT_THROW(InterNodeLayout(wide, 0, partition_array(wide, 0, eight),
-                               eight, {{chunk * 8 * element_size, 1}}, {},
-                               chunk),
-               std::length_error);
+  const std::vector<PatternLayer> one_cache = {{chunk * 8 * element_size, 1}};
+  const std::string wide_built = thrown<std::length_error>([&] {
+    InterNodeLayout(wide, 0, wide_partitioning, eight, one_cache, {}, chunk);
+  });
+  EXPECT_FALSE(wide_built.empty());
+  EXPECT_EQ(wide_built, thrown<std::length_error>([&] {
+              InterNodeLayout::census(wide, 0, wide_partitioning, eight,
+                                      one_cache, {}, chunk);
+            }));
 }
 
 TEST(InterNodeLayoutTest, LeafCacheMappingFollowsThreadMapping) {

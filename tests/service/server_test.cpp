@@ -72,6 +72,29 @@ TEST(ServerTest, CompilesThenServesFromCache) {
   EXPECT_EQ(second.body, first.body);
 }
 
+TEST(ServerTest, ConcurrentFirstRequestsShareOneCompile) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(std::move(config));
+  Response answers[2];
+  std::thread other([&] { answers[1] = ask(server, valid_request(2)); });
+  answers[0] = ask(server, valid_request(1));
+  other.join();
+  ASSERT_EQ(answers[0].status, Status::kOk) << answers[0].error;
+  ASSERT_EQ(answers[1].status, Status::kOk) << answers[1].error;
+  EXPECT_NE(answers[0].cache, answers[1].cache);
+  for (const Response& answer : answers) {
+    EXPECT_TRUE(answer.cache == "miss" || answer.cache == "hit")
+        << answer.cache;
+    EXPECT_EQ(answer.tier, "exact");
+  }
+  EXPECT_EQ(answers[0].body, answers[1].body);
+  EXPECT_FALSE(answers[0].body.empty());
+  const auto stats = server.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
 TEST(ServerTest, ThrottlesNoisyTenantsButNotNeighbours) {
   ServerConfig config;
   config.workers = 1;

@@ -195,8 +195,10 @@ int main(int argc, char** argv) {
     core::OptimizerOptions options;
     options.mask = mask;
     options.solver = solver;
-    const auto result = optimizer.optimize(program, schedule, options);
-    std::cout << result.plan.to_string() << '\n';
+    // Only the plan is printed, so Step II stops at its census; --simulate
+    // compiles its layouts through the engine.
+    std::cout << optimizer.plan(program, schedule, options).to_string()
+              << '\n';
 
     if (simulate) {
       config.solver = solver;
