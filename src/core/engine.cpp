@@ -360,7 +360,7 @@ std::vector<JobResult> ExperimentEngine::run_guarded(
   // The cache is heap-shared so attempt threads abandoned by a timeout can
   // keep using it safely after the grid (and this frame) are gone. A
   // caller-provided cache (EngineOptions::compile_cache) additionally
-  // persists across run_guarded calls — the service daemon's shared tier.
+  // persists across run_guarded calls.
   std::shared_ptr<CompileCache> cache = options_.compile_cache;
   if (!cache && options_.share_compilations) {
     cache = std::make_shared<CompileCache>();

@@ -26,11 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "core/compile_cache.hpp"
 #include "core/experiment.hpp"
 
 namespace flo::core {
-
-class CompileCache;
 
 /// One grid cell: a program under one configuration. The program is not
 /// owned and must outlive the run.
@@ -60,9 +59,9 @@ struct EngineOptions {
   bool share_compilations = true;
   /// The compile cache to dedup through (core/compile_cache.hpp). Null +
   /// share_compilations makes a private per-run cache (the historical
-  /// behaviour); a long-lived caller — the flo_serve daemon — passes its
-  /// own so compilations dedup across submissions. Keys fingerprint
-  /// program CONTENT, so sharing one cache across unrelated grids is safe.
+  /// behaviour); a long-lived caller may pass its own so compilations
+  /// dedup across submissions. Keys fingerprint program CONTENT, so
+  /// sharing one cache across unrelated grids is safe.
   std::shared_ptr<CompileCache> compile_cache{};
   /// Extra attempts granted to a cell that throws TransientError; other
   /// exceptions (and wall-clock timeouts) fail the cell immediately.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace flo::parallel {
 namespace {
 
@@ -96,6 +98,46 @@ TEST(BlockDecompositionTest, CoverageIsExact) {
     expected = block.upper + 1;
   }
   EXPECT_EQ(expected, 78);
+}
+
+TEST(BlockDecompositionTest, ScaledBlocksMatchBlockOf) {
+  // block(v) is block_of(floor((v - offset) / scale)) for every v, and
+  // interval(b) is exactly the v that block(v) maps to b.
+  const auto floor_div = [](std::int64_t a, std::int64_t b) {
+    std::int64_t q = a / b;
+    if (a % b != 0 && a < 0) --q;
+    return q;
+  };
+  const poly::IterationSpace spaces[] = {
+      poly::IterationSpace({{0, 0}}), poly::IterationSpace({{5, 77}}),
+      poly::IterationSpace({{-9, 40}}), poly::IterationSpace({{0, 63}})};
+  for (const auto& space : spaces) {
+    for (const std::size_t threads : {1u, 2u, 3u, 7u, 16u}) {
+      for (const std::size_t blocks : {0u, 5u, 13u}) {
+        const BlockDecomposition d(space, 0, threads, blocks);
+        for (const std::int64_t scale : {1, 2, 3, 8, 37}) {
+          for (const std::int64_t offset : {-11, 0, 6}) {
+            const ScaledBlocks by_v = d.scaled(scale, offset);
+            const std::int64_t lo = scale * (space.bound(0).lower - 3) + offset;
+            const std::int64_t hi = scale * (space.bound(0).upper + 3) + offset;
+            for (std::int64_t v = lo; v <= hi; ++v) {
+              const std::size_t b = by_v.block(v);
+              ASSERT_EQ(b, d.block_of(floor_div(v - offset, scale)))
+                  << d.to_string() << " scale " << scale << " offset "
+                  << offset << " v " << v;
+              ASSERT_GE(v, by_v.interval(b).lo);
+              ASSERT_LE(v, by_v.interval(b).hi);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_THROW((void)BlockDecomposition(space2d(8), 0, 2).scaled(0, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)BlockDecomposition(space2d(8), 0, 2)
+                   .scaled(std::numeric_limits<std::int64_t>::max(), 0),
+               std::overflow_error);
 }
 
 }  // namespace
