@@ -296,6 +296,21 @@ RenderedCompile FingerprintCache<T>::get_or_render(
 }
 
 template <typename T>
+bool FingerprintCache<T>::forget(const std::string& key)
+  requires std::is_same_v<T, CompiledPtr>
+{
+  // Declared before the lock, so the compile is freed after the unlock.
+  std::shared_future<T> value;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.inflight) return false;
+  value = std::move(it->second.value);
+  lru_.erase(it->second.lru_it);
+  entries_.erase(it);
+  return true;
+}
+
+template <typename T>
 std::optional<RenderedCompile> FingerprintCache<T>::lookup_rendered(
     const std::string& key)
   requires std::is_same_v<T, RenderedCompile>

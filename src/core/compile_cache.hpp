@@ -1,11 +1,14 @@
-// core::FingerprintCache — the engine's compile-dedup map promoted to a
-// shared, fingerprint-keyed LRU that can outlive a single grid run.
+// core::FingerprintCache — a fingerprint-keyed LRU that concurrent
+// requesters share: the engine's per-run compile dedup and flo_serve's
+// long-lived cache of rendered plans.
 //
 // One instance holds one kind of value, behind one in-flight routine (the
 // first requester computes, concurrent requesters of the key block on its
 // shared future, and a failure is forgotten, not kept):
 //   CompileCache  — CompiledExperiments with their layouts, for the
-//                   ExperimentEngine, whose cells simulate them;
+//                   ExperimentEngine, whose cells simulate them; the
+//                   engine forgets each one after the last cell that
+//                   needs it;
 //   RenderedCache — an already-serialized response payload (the
 //                   transform-plan text a service request needs), for
 //                   flo_serve, which renders it from compile_plan and never
@@ -135,6 +138,14 @@ class FingerprintCache {
   RenderedCompile get_or_render(const std::string& key,
                                 const std::function<RenderedCompile()>& render)
     requires std::is_same_v<T, RenderedCompile>;
+
+  /// Erases `key` once its compile has settled, for a caller that knows no
+  /// later request needs it; the compile is freed when the last holder of
+  /// its CompiledPtr lets go. Returns whether it erased an entry: an
+  /// absent key and an entry still in flight (its requester still stores
+  /// it) are left alone.
+  bool forget(const std::string& key)
+    requires std::is_same_v<T, CompiledPtr>;
 
   /// Memory first, journal-replayed entries count too; a render still in
   /// flight is not found. Hits refresh LRU recency and count as cache

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -186,9 +187,9 @@ class Journal {
 // --- guarded execution -----------------------------------------------------
 
 /// The actual work of one attempt: the test-hook runner if present,
-/// otherwise compile (possibly shared through the cache) + simulate.
-/// `compile_key` is the job's content fingerprint (empty when sharing is
-/// off — the cache is bypassed entirely then).
+/// otherwise compile (shared through the run's cache when there is one) +
+/// simulate. `compile_key` is the job's content fingerprint (empty when
+/// sharing is off — there is no cache then).
 ExperimentResult execute(const ExperimentJob& job, const EngineOptions& options,
                          const std::shared_ptr<CompileCache>& cache,
                          const std::string& compile_key) {
@@ -198,12 +199,23 @@ ExperimentResult execute(const ExperimentJob& job, const EngineOptions& options,
                                 job.label + "\"");
   }
   const CompiledPtr compiled =
-      options.share_compilations && cache
-          ? cache->get_or_compile(
-                compile_key,
-                [&] { return compile_experiment(*job.program, job.config); })
-          : std::make_shared<const CompiledExperiment>(
-                compile_experiment(*job.program, job.config));
+      cache ? cache->get_or_compile(
+                  compile_key,
+                  [&] {
+                    CompiledExperiment out =
+                        compile_experiment(*job.program, job.config);
+                    if (obs::enabled()) {
+                      // One more compile held; the release of its group
+                      // takes it back (run_guarded).
+                      auto& reg = obs::registry();
+                      reg.histogram("engine.compiles_live_at_insert")
+                          .observe(static_cast<double>(
+                              reg.gauge("engine.compiles_live").add(1)));
+                    }
+                    return out;
+                  })
+            : std::make_shared<const CompiledExperiment>(
+                  compile_experiment(*job.program, job.config));
   ExperimentResult result;
   result.sim = simulate_experiment(*job.program, *compiled, job.config);
   result.plan = compiled->plan;
@@ -329,13 +341,39 @@ std::vector<JobResult> ExperimentEngine::run_guarded(
     if (fresh && p != nullptr) it->second = program_fingerprint(*p);
     return it->second;
   };
+  // Cells that share a compile form a group, numbered by the first
+  // appearance of its key. Workers claim order[k]: a group's cells run back
+  // to back (groups in that numbering, cells within a group by index), so
+  // its compile is needed only while they run. pending[g] counts group g's
+  // unfinished cells, and the last one to end drops the compile from the
+  // run's cache. The run then holds at most workers + 1 compiles: the
+  // running cells' groups and the one being handed out. Without sharing
+  // there is no cache, and cells go in submission order.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<std::string> compile_keys;
+  std::vector<std::size_t> group_of;
+  std::unique_ptr<std::atomic<std::size_t>[]> pending;
+  // Heap-shared so attempt threads abandoned by a timeout can keep using
+  // it safely after the grid (and this frame) are gone.
+  std::shared_ptr<CompileCache> cache;
   if (options_.share_compilations) {
     compile_keys.resize(jobs.size());
+    group_of.resize(jobs.size());
+    std::unordered_map<std::string, std::size_t> groups;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       compile_keys[i] = compile_fingerprint(fingerprint_of(jobs[i].program),
                                             jobs[i].config);
+      group_of[i] = groups.try_emplace(compile_keys[i], groups.size())
+                        .first->second;
     }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return group_of[a] < group_of[b];
+                     });
+    pending = std::make_unique<std::atomic<std::size_t>[]>(groups.size());
+    for (const std::size_t g : group_of) ++pending[g];
+    cache = std::make_shared<CompileCache>();
   }
   std::vector<std::string> keys;
   std::string grid_hash;
@@ -357,14 +395,17 @@ std::vector<JobResult> ExperimentEngine::run_guarded(
     grid_hash = hex16(fnv1a(bytes));
   }
   Journal journal(options_.journal_path, grid_hash, key_set);
-  // The cache is heap-shared so attempt threads abandoned by a timeout can
-  // keep using it safely after the grid (and this frame) are gone. A
-  // caller-provided cache (EngineOptions::compile_cache) additionally
-  // persists across run_guarded calls.
-  std::shared_ptr<CompileCache> cache = options_.compile_cache;
-  if (!cache && options_.share_compilations) {
-    cache = std::make_shared<CompileCache>();
-  }
+
+  // Called once per cell, whichever way it ends. An entry still in flight
+  // (an attempt abandoned by job_timeout is computing it) stays; that
+  // attempt holds its own CompiledPtr until it ends.
+  const auto release = [&](std::size_t i) {
+    if (!cache || --pending[group_of[i]] != 0) return;
+    if (cache->forget(compile_keys[i]) && obs::enabled()) {
+      obs::registry().gauge("engine.compiles_live").add(-1);
+    }
+  };
+
   std::atomic<std::size_t> next{0};
   const bool tracing = obs::enabled();
   const obs::ScopedSpan run_span(
@@ -374,13 +415,14 @@ std::vector<JobResult> ExperimentEngine::run_guarded(
   const auto worker = [&] {
     double busy_seconds = 0;
     for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) break;
+      const std::size_t k = next.fetch_add(1);
+      if (k >= jobs.size()) break;
       if (tracing) {
         // Indicative only (last-writer-wins): cells not yet claimed.
         obs::registry().gauge("engine.queue_depth").set(
-            static_cast<std::int64_t>(jobs.size() - i - 1));
+            static_cast<std::int64_t>(jobs.size() - k - 1));
       }
+      const std::size_t i = order[k];
       const ExperimentJob& job = jobs[i];
       JobResult& out = results[i];
       const std::string key = journal.enabled() ? keys[i] : std::string();
@@ -390,6 +432,7 @@ std::vector<JobResult> ExperimentEngine::run_guarded(
           obs::registry().counter("engine.cells_total").add(1);
           obs::registry().counter("engine.journal_hits").add(1);
         }
+        release(i);
         continue;
       }
       const obs::ScopedSpan cell_span(
@@ -434,6 +477,7 @@ std::vector<JobResult> ExperimentEngine::run_guarded(
         }
         // Transient: loop for another attempt (bounded by max_retries).
       }
+      release(i);
       if (tracing) {
         auto& reg = obs::registry();
         reg.counter("engine.cells_total").add(1);

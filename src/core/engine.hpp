@@ -6,10 +6,14 @@
 // simulation, so the engine parallelizes across cells, not inside one.
 // Cells that share a compilation — same program, schedule and layout
 // scheme, e.g. one scheme measured under three cache policies — compute
-// the optimizer/layout half once and share it read-only (the compile
-// cache). results[i] always corresponds to jobs[i], whatever the worker
-// count: the determinism regression test holds 1-worker and N-worker runs
-// to byte-identical SimulationResults.
+// the optimizer/layout half once and share it read-only (the run's
+// compile cache). Such cells are handed out back to back, and a compile
+// is dropped from the cache when the last of its cells ends, so a run
+// holds at most workers + 1 compiles (the running cells' groups and the
+// group being handed out). results[i] always corresponds to jobs[i],
+// whatever the worker count or hand-out order: the determinism regression
+// test holds 1-worker and N-worker runs to byte-identical
+// SimulationResults.
 //
 // Fault tolerance: run_guarded() isolates each cell, so one crashing or
 // hung cell yields a failed JobResult instead of killing the grid.
@@ -22,11 +26,9 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/compile_cache.hpp"
 #include "core/experiment.hpp"
 
 namespace flo::core {
@@ -55,23 +57,20 @@ struct EngineOptions {
   std::size_t workers = 0;
   /// Share compile_experiment results between cells with identical
   /// compile signatures (layouts are immutable after construction, so
-  /// sharing is read-only). Disable to force per-cell compilation.
+  /// sharing is read-only) through a cache private to each run; the run
+  /// hands such cells out back to back and drops each compile after its
+  /// last cell. Disable to force per-cell compilation in submission order.
   bool share_compilations = true;
-  /// The compile cache to dedup through (core/compile_cache.hpp). Null +
-  /// share_compilations makes a private per-run cache (the historical
-  /// behaviour); a long-lived caller may pass its own so compilations
-  /// dedup across submissions. Keys fingerprint program CONTENT, so
-  /// sharing one cache across unrelated grids is safe.
-  std::shared_ptr<CompileCache> compile_cache{};
   /// Extra attempts granted to a cell that throws TransientError; other
   /// exceptions (and wall-clock timeouts) fail the cell immediately.
   std::uint32_t max_retries = 0;
   /// Wall-clock budget per attempt, in seconds; 0 = unlimited. When set,
   /// each attempt runs on its own thread; a hung attempt is abandoned
   /// (detached) and the cell reports failure. The abandoned thread keeps
-  /// only a copy of the job and the shared compile cache alive — callers
-  /// must keep the referenced ir::Program alive for process lifetime
-  /// (true of the static workload suites).
+  /// only a copy of the job, the run's compile cache and the compile it
+  /// holds alive until it ends — callers must keep the referenced
+  /// ir::Program alive for process lifetime (true of the static workload
+  /// suites).
   double job_timeout = 0;
   /// Checkpoint journal path; empty = no journal. Completed cells are
   /// streamed to this file (atomic tmp+rename on every update); a rerun

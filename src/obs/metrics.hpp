@@ -54,7 +54,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t v) { value_.fetch_add(v, std::memory_order_relaxed); }
+  /// Returns the value this add produced (a +1/-1 count's new level).
+  std::int64_t add(std::int64_t v) {
+    return value_.fetch_add(v, std::memory_order_relaxed) + v;
+  }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
 

@@ -1,12 +1,14 @@
 // core::CompileCache and core::RenderedCache: fingerprint keys,
 // shared-future dedup and poisoned-entry retry for both value kinds, LRU
-// eviction, and the rendered cache's crash-safe journal.
+// eviction, forgetting a settled compile, and the rendered cache's
+// crash-safe journal.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -152,6 +154,41 @@ TEST(CompileCacheTest, FailedCompileIsRetriedNotPoisoned) {
   });
   EXPECT_NE(ok, nullptr);
   EXPECT_EQ(calls, 2);
+}
+
+TEST(CompileCacheTest, ForgetDropsOnlySettledEntries) {
+  CompileCache cache;
+  int compiles = 0;
+  const auto compile = [&] {
+    ++compiles;
+    return fake_compiled();
+  };
+  const CompiledPtr held = cache.get_or_compile("k", compile);
+  EXPECT_TRUE(cache.forget("k"));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(held.use_count(), 1);  // the cache no longer holds it
+  EXPECT_FALSE(cache.forget("k"));
+  EXPECT_FALSE(cache.forget("absent"));
+  // A later request compiles again.
+  EXPECT_NE(cache.get_or_compile("k", compile), nullptr);
+  EXPECT_EQ(compiles, 2);
+
+  // An in-flight entry stays: its requester still stores it.
+  std::promise<void> started;
+  std::promise<void> finish;
+  std::future<void> go = finish.get_future();
+  std::thread owner([&] {
+    (void)cache.get_or_compile("slow", [&] {
+      started.set_value();
+      go.wait();
+      return fake_compiled();
+    });
+  });
+  started.get_future().wait();
+  EXPECT_FALSE(cache.forget("slow"));
+  finish.set_value();
+  owner.join();
+  EXPECT_TRUE(cache.forget("slow"));
 }
 
 TEST(CompileCacheTest, ConcurrentRenderersShareOneRender) {

@@ -1,10 +1,18 @@
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <mutex>
+#include <random>
 #include <stdexcept>
+#include <string>
 
 #include "ir/builder.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "workloads/suite.hpp"
 
 namespace flo::core {
@@ -100,6 +108,179 @@ TEST(ExperimentGridTest, EmptyAxesFallBackToBaseConfig) {
   const auto jobs = grid.expand();
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].config.policy, storage::PolicyKind::kDemoteLru);
+}
+
+/// Metrics on, from zero, for one test; off and zeroed again after it.
+class ObsOn {
+ public:
+  ObsOn() {
+    obs::registry().reset();
+    obs::set_enabled(true);
+  }
+  ~ObsOn() {
+    obs::set_enabled(false);
+    obs::registry().reset();
+    obs::recorder().clear();
+  }
+};
+
+std::int64_t compiles_live() {
+  return obs::registry().gauge("engine.compiles_live").value();
+}
+
+double peak_compiles_live() {
+  return obs::registry().histogram("engine.compiles_live_at_insert").max();
+}
+
+TEST(ExperimentEngineTest, CellsThatShareACompileRunBackToBack) {
+  const auto p = tiny_program(16);
+  const auto q = tiny_program(24);
+  const auto r = tiny_program(32);
+  ExperimentConfig lru;
+  ExperimentConfig karma = lru;
+  karma.policy = storage::PolicyKind::kKarma;
+  // The default scheme's compile ignores the policy: p's two cells share
+  // one compile, and so do q's.
+  const std::vector<ExperimentJob> jobs{{"p/lru", &p, lru},
+                                        {"q/lru", &q, lru},
+                                        {"p/karma", &p, karma},
+                                        {"r/lru", &r, lru},
+                                        {"q/karma", &q, karma}};
+  const auto hand_out = [&](bool share) {
+    std::vector<std::string> seen;
+    EngineOptions options;
+    options.workers = 1;
+    options.share_compilations = share;
+    options.runner = [&](const ExperimentJob& job) {
+      seen.push_back(job.label);
+      ExperimentResult result;
+      result.sim.accesses = job.label.size();
+      return result;
+    };
+    const auto results = ExperimentEngine(options).run_guarded(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(results[i].result.sim.accesses, jobs[i].label.size());
+    }
+    return seen;
+  };
+  // Groups in order of their key's first appearance, cells within a group
+  // by index; without sharing, submission order.
+  EXPECT_EQ(hand_out(true), (std::vector<std::string>{
+                                "p/lru", "p/karma", "q/lru", "q/karma",
+                                "r/lru"}));
+  EXPECT_EQ(hand_out(false), (std::vector<std::string>{
+                                 "p/lru", "q/lru", "p/karma", "r/lru",
+                                 "q/karma"}));
+}
+
+// Eight compiles (four programs x two schemes) under three policies each,
+// shuffled so a compile's cells are spread over the submission. Four
+// workers hold at most five compiles at once, and the results are those of
+// one worker and of per-cell compilation, bit for bit.
+TEST(ExperimentEngineTest, ShuffledGridHoldsAtMostWorkersPlusOneCompiles) {
+  std::vector<ir::Program> programs;
+  for (const std::int64_t n : {16, 24, 32, 40}) {
+    programs.push_back(tiny_program(n));
+  }
+  ExperimentGrid grid;
+  for (std::size_t a = 0; a < programs.size(); ++a) {
+    grid.apps.push_back({"app" + std::to_string(a), &programs[a]});
+  }
+  grid.schemes = {Scheme::kDefault, Scheme::kInterNode};
+  grid.policies = {storage::PolicyKind::kLruInclusive,
+                   storage::PolicyKind::kDemoteLru,
+                   storage::PolicyKind::kKarma};
+  std::vector<ExperimentJob> jobs = grid.expand();
+  ASSERT_EQ(jobs.size(), 24u);
+  std::mt19937 rng(7);
+  std::shuffle(jobs.begin(), jobs.end(), rng);
+
+  constexpr std::size_t kWorkers = 4;
+  std::vector<ExperimentResult> pooled;
+  {
+    const ObsOn obs_on;
+    pooled = ExperimentEngine(EngineOptions{kWorkers}).run(jobs);
+    EXPECT_GE(peak_compiles_live(), 1.0);
+    EXPECT_LE(peak_compiles_live(), static_cast<double>(kWorkers + 1));
+    EXPECT_EQ(compiles_live(), 0);
+    // Each compile ran once: none was dropped before its last cell.
+    EXPECT_EQ(
+        obs::registry().counter("engine.compile_cache_misses").value(), 8u);
+  }
+  const auto serial = ExperimentEngine(EngineOptions{1}).run(jobs);
+  const auto unshared =
+      ExperimentEngine(EngineOptions{kWorkers, /*share_compilations=*/false})
+          .run(jobs);
+  ASSERT_EQ(pooled.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(pooled[i].sim, serial[i].sim) << jobs[i].label;
+    EXPECT_EQ(pooled[i].sim, unshared[i].sim) << jobs[i].label;
+    EXPECT_EQ(pooled[i].plan.to_string(), serial[i].plan.to_string())
+        << jobs[i].label;
+    EXPECT_EQ(pooled[i].plan.to_string(), unshared[i].plan.to_string())
+        << jobs[i].label;
+  }
+}
+
+// A group's compile is dropped however its last cell ends: after a
+// failure, after a journal restore, and after transient retries. On one
+// worker the failing and the restored cell run after the cell that
+// compiles. The retries go through the runner hook, which compiles
+// nothing: releasing a group whose key never entered the cache must leave
+// the count where it is.
+TEST(ExperimentEngineTest, EveryWayACellEndsReleasesItsCompile) {
+  const auto p = tiny_program();
+  ExperimentConfig lru;
+  ExperimentConfig karma = lru;
+  karma.policy = storage::PolicyKind::kKarma;
+  // Same compile key as `lru` (the default scheme ignores the topology),
+  // but the simulation rejects it.
+  ExperimentConfig broken = lru;
+  broken.topology.block_size = 0;
+  const ObsOn obs_on;
+
+  const auto failed = ExperimentEngine(EngineOptions{1}).run_guarded(
+      {{"ok", &p, lru}, {"broken", &p, broken}});
+  EXPECT_FALSE(failed[0].failed);
+  EXPECT_TRUE(failed[1].failed);
+  EXPECT_EQ(peak_compiles_live(), 1.0);
+  EXPECT_EQ(compiles_live(), 0);
+
+  const std::string journal = testing::TempDir() + "/release." +
+                              std::to_string(::getpid()) + ".journal";
+  std::remove(journal.c_str());
+  EngineOptions journaled{1};
+  journaled.journal_path = journal;
+  ExperimentEngine(journaled).run_guarded({{"karma", &p, karma}});
+  EXPECT_EQ(compiles_live(), 0);
+  const auto resumed = ExperimentEngine(journaled).run_guarded(
+      {{"lru", &p, lru}, {"karma", &p, karma}});
+  std::remove(journal.c_str());
+  EXPECT_FALSE(resumed[0].from_journal);
+  EXPECT_TRUE(resumed[1].from_journal);
+  EXPECT_EQ(resumed[0].result.sim, run_experiment(p, lru).sim);
+  EXPECT_EQ(compiles_live(), 0);
+
+  EngineOptions retrying{2};
+  retrying.max_retries = 1;
+  std::mutex mutex;
+  int flaky_calls = 0;
+  retrying.runner = [&](const ExperimentJob& job) -> ExperimentResult {
+    if (job.label == "dead") throw TransientError("always");
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (job.label == "flaky" && flaky_calls++ == 0) {
+      throw TransientError("once");
+    }
+    return {};
+  };
+  const auto retried = ExperimentEngine(retrying).run_guarded(
+      {{"flaky", &p, lru}, {"dead", &p, karma}, {"ok", &p, broken}});
+  EXPECT_FALSE(retried[0].failed);
+  EXPECT_EQ(retried[0].attempts, 2u);
+  EXPECT_TRUE(retried[1].failed);
+  EXPECT_EQ(retried[1].attempts, 2u);
+  EXPECT_FALSE(retried[2].failed);
+  EXPECT_EQ(compiles_live(), 0);
 }
 
 // Satellite acceptance: 1 worker and N workers produce byte-identical

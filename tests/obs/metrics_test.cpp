@@ -34,7 +34,7 @@ TEST(CounterTest, ConcurrentAddsSumExactly) {
 TEST(GaugeTest, SetAddReset) {
   Gauge g;
   g.set(7);
-  g.add(-10);
+  EXPECT_EQ(g.add(-10), -3);
   EXPECT_EQ(g.value(), -3);
   g.reset();
   EXPECT_EQ(g.value(), 0);
