@@ -25,12 +25,10 @@
 #pragma once
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -38,7 +36,6 @@
 #include "core/report.hpp"
 #include "storage/fault_model.hpp"
 #include "storage/qos.hpp"
-#include "storage/sim_core.hpp"
 #include "util/format.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
@@ -46,136 +43,57 @@
 
 namespace flo::bench {
 
-/// Prints a bench/bench_common.hpp-anchored diagnostic for a bad
-/// environment knob and exits 2 (the configuration-error code, distinct
-/// from a failed run). A typo'd knob silently falling back to a default
-/// would quietly benchmark the wrong thing.
-[[noreturn]] inline void die_env(const char* var, const char* what,
-                                 const char* value) {
-  std::fprintf(stderr,
-               "bench_common.hpp: %s: %s '%s' (fix or unset the variable)\n",
-               var, what, value);
-  std::exit(2);
-}
-
-/// Strict positive-integer env parse: the whole value must be a base-10
-/// integer > 0 (util::parse_decimal_u64: digits only, no sign or
-/// whitespace). Malformed or out-of-range values are fatal, not defaulted.
-inline std::size_t env_positive_u64(const char* var, const char* value) {
-  const std::string_view text(value);
-  const std::optional<std::uint64_t> v = util::parse_decimal_u64(text);
+/// A positive integer knob (FLO_WORKERS, FLO_JOB_RETRIES): digits only
+/// (util::parse_decimal_u64: no sign or whitespace), in range, above 0.
+/// A typo'd knob must not silently fall back to a default.
+inline std::uint64_t positive_integer(const std::string& value) {
+  const std::optional<std::uint64_t> v = util::parse_decimal_u64(value);
   if (!v) {
     // Digits only, yet no value: it does not fit in 64 bits.
-    const bool digits =
-        !text.empty() && text.find_first_not_of("0123456789") == text.npos;
-    die_env(var, digits ? "integer out of range" : "malformed integer",
-            value);
+    const bool digits = value.find_first_not_of("0123456789") == value.npos;
+    throw std::invalid_argument(
+        (digits ? "integer out of range '" : "malformed integer '") + value +
+        "'");
   }
-  if (*v == 0) die_env(var, "must be positive, got", value);
-  return static_cast<std::size_t>(*v);
+  if (*v == 0) {
+    throw std::invalid_argument("must be positive, got '" + value + "'");
+  }
+  return *v;
 }
 
-/// Strict positive-number env parse (seconds, fractions allowed).
-inline double env_positive_double(const char* var, const char* value) {
+/// A positive number of seconds (FLO_JOB_TIMEOUT), fractions allowed.
+inline double positive_seconds(const std::string& value) {
   errno = 0;
   char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0') die_env(var, "malformed number", value);
-  if (errno == ERANGE) die_env(var, "number out of range", value);
-  if (!(v > 0)) die_env(var, "must be positive, got", value);
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0') {
+    throw std::invalid_argument("malformed number '" + value + "'");
+  }
+  if (errno == ERANGE) {
+    throw std::invalid_argument("number out of range '" + value + "'");
+  }
+  if (!(v > 0)) {
+    throw std::invalid_argument("must be positive, got '" + value + "'");
+  }
   return v;
 }
 
-inline std::size_t workers_from_env() {
-  if (const char* env = std::getenv("FLO_WORKERS")) {
-    if (*env != '\0') return env_positive_u64("FLO_WORKERS", env);
-  }
-  return 0;  // engine default: hardware concurrency
-}
-
-/// Validates FLO_SIM up front so a typo is a clean two-line diagnostic
-/// instead of an uncaught std::invalid_argument mid-grid.
-inline void validate_sim_core_env() {
-  if (const char* env = std::getenv("FLO_SIM")) {
-    if (*env != '\0' && !storage::parse_sim_core(env)) {
-      die_env("FLO_SIM", "unknown simulator core (want clock or event)", env);
-    }
-  }
-}
-
-/// Same up-front validation for FLO_SOLVER (the Step I backend).
-inline void validate_solver_env() {
-  if (const char* env = std::getenv("FLO_SOLVER")) {
-    if (*env != '\0' && !core::parse_solver(env)) {
-      die_env("FLO_SOLVER",
-              "unknown layout solver (want unimodular or constraint)", env);
-    }
-  }
-}
-
-/// Same up-front validation for the tenant QoS knobs: FLO_SCHED must name
-/// a known disk scheduler and FLO_QOS must parse as a storage/qos.hpp
-/// spec. A typo'd spec would otherwise surface as an uncaught
-/// std::invalid_argument mid-grid, or — worse — benchmark without the
-/// partitioning the operator thought they asked for.
-inline void validate_qos_env() {
-  if (const char* env = std::getenv("FLO_SCHED")) {
-    if (*env != '\0' && !storage::parse_sched_policy(env)) {
-      die_env("FLO_SCHED",
-              "unknown disk scheduler (want look, fcfs or priority)", env);
-    }
-  }
-  if (const char* env = std::getenv("FLO_QOS")) {
-    if (*env != '\0') {
-      try {
-        (void)storage::parse_qos_spec(env);
-      } catch (const std::exception& err) {
-        die_env("FLO_QOS", err.what(), env);
-      }
-    }
-  }
-}
-
-/// Same up-front validation for FLO_FAULTS: a malformed spec, or a value
-/// FaultConfig::validate rejects (a NaN rate or backoff among them), exits
-/// 2 instead of ending the run with an uncaught exception or running
-/// silently without the faults the operator asked for.
-inline void validate_faults_env() {
-  if (const char* env = std::getenv("FLO_FAULTS")) {
-    if (*env != '\0') {
-      try {
-        (void)storage::parse_fault_spec(env);
-      } catch (const std::exception& err) {
-        die_env("FLO_FAULTS", err.what(), env);
-      }
-    }
-  }
-}
-
 /// Engine options assembled from the environment (workers, checkpoint
-/// journal, per-cell timeout/retry budgets). Malformed knobs exit 2.
+/// journal, per-cell timeout/retry budgets). A malformed knob throws
+/// util::KnobError; flo_bench checks them all at startup.
 inline core::EngineOptions engine_options_from_env() {
-  validate_sim_core_env();
-  validate_solver_env();
-  validate_qos_env();
-  validate_faults_env();
   core::EngineOptions options;
-  options.workers = workers_from_env();
+  options.workers =  // 0: the engine default, hardware concurrency
+      util::read_knob("FLO_WORKERS", positive_integer).value_or(0);
   options.share_compilations = true;
-  if (const char* env = std::getenv("FLO_JOURNAL")) {
-    options.journal_path = env;
-  }
-  if (const char* env = std::getenv("FLO_JOB_TIMEOUT")) {
-    if (*env != '\0') {
-      options.job_timeout = env_positive_double("FLO_JOB_TIMEOUT", env);
-    }
-  }
-  if (const char* env = std::getenv("FLO_JOB_RETRIES")) {
-    if (*env != '\0') {
-      options.max_retries =
-          static_cast<std::uint32_t>(env_positive_u64("FLO_JOB_RETRIES", env));
-    }
-  }
+  options.journal_path =
+      util::read_knob("FLO_JOURNAL", [](const std::string& path) {
+        return path;
+      }).value_or("");
+  options.job_timeout =
+      util::read_knob("FLO_JOB_TIMEOUT", positive_seconds).value_or(0);
+  options.max_retries = static_cast<std::uint32_t>(
+      util::read_knob("FLO_JOB_RETRIES", positive_integer).value_or(0));
   return options;
 }
 

@@ -86,6 +86,8 @@ void write_rows_jsonl(std::ostream& os, const std::vector<MetricRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto engine_knobs = [] { flo::bench::engine_options_from_env(); };
+  if (!flo::core::check_knobs("bench_common.hpp", engine_knobs)) return 2;
   bool list = false;
   std::vector<std::string> filters;
   std::string out_format, out_file, metrics_out;
@@ -139,11 +141,6 @@ int main(int argc, char** argv) {
       return usage(std::cerr, 2);
     }
   }
-
-  // Fail fast (exit 2) on malformed environment knobs — before any
-  // scenario spends minutes computing under a config the operator did
-  // not ask for.
-  (void)flo::bench::engine_options_from_env();
 
   if (list) {
     list_scenarios(std::cout);

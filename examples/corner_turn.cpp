@@ -18,6 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace flo;
+  if (!core::check_knobs("corner_turn")) return 2;
   const std::int64_t azimuth_repeats =
       argc > 1 ? std::atoll(argv[1]) : 4;
   if (azimuth_repeats < 1) {

@@ -15,6 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace flo;
+  if (!core::check_knobs("hierarchy_explorer")) return 2;
   const std::string name = argc > 1 ? argv[1] : "applu";
   const auto& names = workloads::workload_names();
   if (std::find(names.begin(), names.end(), name) == names.end()) {

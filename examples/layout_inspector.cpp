@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "core/experiment.hpp"
 #include "core/optimizer.hpp"
 #include "layout/canonical.hpp"
 #include "layout/internode.hpp"
@@ -37,6 +38,7 @@ void render_ownership(const layout::InterNodeLayout& layout,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!flo::core::check_knobs("layout_inspector")) return 2;
   const std::string name = argc > 1 ? argv[1] : "qio";
   const auto& names = workloads::workload_names();
   if (std::find(names.begin(), names.end(), name) == names.end()) {

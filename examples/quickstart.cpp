@@ -18,6 +18,7 @@
 
 int main() {
   using namespace flo;
+  if (!core::check_knobs("quickstart")) return 2;
 
   // 1. Express the application: disk-resident transpose, repeated over a
   //    few time steps, parallelized on the i loop.

@@ -1,15 +1,18 @@
 #include "core/experiment.hpp"
 
+#include <iostream>
 #include <stdexcept>
 
 #include "baselines/computation_mapping.hpp"
 #include "baselines/dimension_reindexing.hpp"
 #include "core/io_lower_bound.hpp"
 #include "layout/canonical.hpp"
+#include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "trace/analysis.hpp"
 #include "trace/generator.hpp"
 #include "trace/source.hpp"
+#include "util/parse.hpp"
 
 namespace flo::core {
 
@@ -230,6 +233,22 @@ ExperimentResult run_experiment(const ir::Program& program,
   result.plan = compiled.plan;
   result.profiler_runs = compiled.profiler_runs;
   return result;
+}
+
+bool check_knobs(const char* program, void (*more)()) {
+  try {
+    (void)storage::sim_core_from_env();
+    (void)storage::extents_enabled();
+    (void)solver_from_env();
+    (void)storage::qos_config_from_env();
+    (void)storage::fault_config_from_env();
+    (void)obs::sink_mode_from_env();
+    if (more != nullptr) more();
+  } catch (const util::KnobError& err) {
+    std::cerr << program << ": " << err.what() << '\n';
+    return false;
+  }
+  return true;
 }
 
 }  // namespace flo::core

@@ -109,4 +109,12 @@ storage::SimulationResult simulate_experiment(
 ExperimentResult run_experiment(const ir::Program& program,
                                 const ExperimentConfig& config);
 
+/// Reads every FLO_* knob the library obeys through its cached reader, in
+/// the order FLO_SIM, FLO_EXTENTS, FLO_SOLVER, FLO_QOS, FLO_SCHED,
+/// FLO_FAULTS, FLO_METRICS, then calls `more` (a program's own knobs, read
+/// through util::read_knob). Every program calls it before any work: on
+/// the first malformed knob it prints `<program>: FLO_X: <reason>` to
+/// stderr and returns false, and the program exits 2.
+bool check_knobs(const char* program, void (*more)() = nullptr);
+
 }  // namespace flo::core

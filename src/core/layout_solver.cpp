@@ -1,9 +1,9 @@
 #include "core/layout_solver.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "layout/constraint_network.hpp"
+#include "util/parse.hpp"
 
 namespace flo::core {
 
@@ -24,17 +24,12 @@ std::optional<SolverKind> parse_solver(const std::string& name) {
 }
 
 SolverKind solver_from_env() {
-  static const SolverKind kind = [] {
-    const char* env = std::getenv("FLO_SOLVER");
-    if (env == nullptr || *env == '\0') return SolverKind::kUnimodular;
-    const auto parsed = parse_solver(env);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("FLO_SOLVER: unknown layout solver '") + env +
-          "' (expected unimodular or constraint)");
-    }
-    return *parsed;
-  }();
+  static const SolverKind kind =
+      util::read_knob("FLO_SOLVER", [](const std::string& name) {
+        if (const auto parsed = parse_solver(name)) return *parsed;
+        throw std::invalid_argument("unknown layout solver '" + name +
+                                    "' (expected unimodular or constraint)");
+      }).value_or(SolverKind::kUnimodular);
   return kind;
 }
 

@@ -34,8 +34,9 @@ const char* solver_name(SolverKind kind);
 /// Inverse of solver_name; nullopt for unknown names.
 std::optional<SolverKind> parse_solver(const std::string& name);
 
-/// Reads FLO_SOLVER once (process-wide); empty/unset means kUnimodular.
-/// Throws std::invalid_argument on an unknown value.
+/// Reads FLO_SOLVER once (process-wide) through util::read_knob;
+/// empty/unset means kUnimodular. Throws util::KnobError on an unknown
+/// value.
 SolverKind solver_from_env();
 
 /// A Step I strategy: produce an ArrayPartitioning for one array. All

@@ -4,7 +4,6 @@
 
 #include "layout/canonical.hpp"
 #include "obs/span.hpp"
-#include "util/log.hpp"
 
 namespace flo::core {
 
@@ -69,16 +68,6 @@ layout::ProgramTransformPlan FileLayoutOptimizer::compile(
         5 * plan.partitioning.satisfied_weight <
             3 * plan.partitioning.total_weight;
 
-    if (too_small_to_matter && plan.partitioning.partitioned) {
-      FLO_LOG_DEBUG << program.name() << "/" << plan.array_name
-                    << ": skipped (fits " << 2 * topology_.config().io_cache_bytes
-                    << " B profitability bound)";
-    } else if (too_conflicted) {
-      FLO_LOG_DEBUG << program.name() << "/" << plan.array_name
-                    << ": skipped (only " << plan.partitioning.satisfied_weight
-                    << "/" << plan.partitioning.total_weight
-                    << " weighted references satisfiable)";
-    }
     layout::FileLayoutPtr chosen;
     const auto record = [&plan](const layout::ChunkPattern& pattern) {
       plan.optimized = true;

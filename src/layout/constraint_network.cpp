@@ -4,7 +4,6 @@
 
 #include "linalg/gcd.hpp"
 #include "linalg/nullspace.hpp"
-#include "util/log.hpp"
 
 namespace flo::layout {
 
@@ -153,12 +152,6 @@ ArrayPartitioning solve_constraint_network(
   const AccessMatrixGroup* primary = primary_of(*best, groups);
   result.satisfied_weight = best_weight;
   result.satisfied_groups = best_groups;
-  if (greedy.partitioned && best_weight != greedy.satisfied_weight) {
-    FLO_LOG_DEBUG << program.name() << "/" << decl.name()
-                  << ": constraint network satisfies " << best_weight << "/"
-                  << result.total_weight << " vs greedy "
-                  << greedy.satisfied_weight;
-  }
   finalize_partitioning(result, *best, *primary, program, array);
   return result;
 }

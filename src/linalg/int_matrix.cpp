@@ -37,18 +37,6 @@ IntMatrix IntMatrix::diagonal(std::span<const std::int64_t> diag) {
   return m;
 }
 
-IntMatrix IntMatrix::from_row(std::span<const std::int64_t> row) {
-  IntMatrix m(1, row.size());
-  for (std::size_t c = 0; c < row.size(); ++c) m.at(0, c) = row[c];
-  return m;
-}
-
-IntMatrix IntMatrix::from_column(std::span<const std::int64_t> col) {
-  IntMatrix m(col.size(), 1);
-  for (std::size_t r = 0; r < col.size(); ++r) m.at(r, 0) = col[r];
-  return m;
-}
-
 std::size_t IntMatrix::index(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) {
     throw std::out_of_range("IntMatrix index out of range");
@@ -74,13 +62,6 @@ IntVector IntMatrix::column(std::size_t c) const {
   IntVector out(rows_);
   for (std::size_t r = 0; r < rows_; ++r) out[r] = at(r, c);
   return out;
-}
-
-void IntMatrix::set_row(std::size_t r, std::span<const std::int64_t> values) {
-  if (values.size() != cols_) {
-    throw std::invalid_argument("set_row: width mismatch");
-  }
-  for (std::size_t c = 0; c < cols_; ++c) at(r, c) = values[c];
 }
 
 IntMatrix IntMatrix::transposed() const {

@@ -32,12 +32,6 @@ class IntMatrix {
   /// Diagonal matrix from `diag`.
   static IntMatrix diagonal(std::span<const std::int64_t> diag);
 
-  /// 1 x n matrix from a row vector.
-  static IntMatrix from_row(std::span<const std::int64_t> row);
-
-  /// n x 1 matrix from a column vector.
-  static IntMatrix from_column(std::span<const std::int64_t> col);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
@@ -54,9 +48,6 @@ class IntMatrix {
 
   /// Copies column c out as a vector.
   IntVector column(std::size_t c) const;
-
-  /// Overwrites row r.
-  void set_row(std::size_t r, std::span<const std::int64_t> values);
 
   IntMatrix transposed() const;
 

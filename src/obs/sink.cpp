@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -10,6 +9,7 @@
 #include <stdexcept>
 
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace flo::obs {
 
@@ -78,8 +78,16 @@ const char* sink_mode_name(SinkMode mode) {
 }
 
 SinkMode sink_mode_from_env() {
-  const char* env = std::getenv("FLO_METRICS");
-  return env ? parse_sink_mode(env) : SinkMode::kOff;
+  static const SinkMode mode =
+      util::read_knob("FLO_METRICS", [](const std::string& name) {
+        const SinkMode parsed = parse_sink_mode(name);
+        if (parsed == SinkMode::kOff && name != "off") {
+          throw std::invalid_argument("unknown metrics mode '" + name +
+                                      "' (expected off, text, json or chrome)");
+        }
+        return parsed;
+      }).value_or(SinkMode::kOff);
+  return mode;
 }
 
 void write_text(std::ostream& os, const std::vector<MetricSample>& metrics,

@@ -23,7 +23,9 @@ enum class SinkMode { kOff, kText, kJson, kChrome };
 SinkMode parse_sink_mode(const std::string& name);
 const char* sink_mode_name(SinkMode mode);
 
-/// FLO_METRICS environment variable → SinkMode (kOff when unset).
+/// FLO_METRICS environment variable → SinkMode (kOff when unset or
+/// empty), read once through util::read_knob. Any value but off, text,
+/// json or chrome throws util::KnobError, as `--metrics` rejects it.
 SinkMode sink_mode_from_env();
 
 /// Aligned human-readable dump: one metric per line, histograms with

@@ -385,7 +385,8 @@ Response Server::compile_response(Job& job) {
   // config.solver defaulted from FLO_SOLVER and joins the fingerprint, so
   // a rendered hit was necessarily compiled by this same backend.
   r.solver = core::solver_name(config.solver);
-  // Daemon-wide tenant QoS (FLO_QOS/FLO_SCHED, validated at startup):
+  // Daemon-wide tenant QoS (FLO_QOS/FLO_SCHED, parsed once and checked
+  // at startup):
   // joins the topology, hence the compile fingerprint, so QoS'd and plain
   // compiles never alias a cache key. The response echoes the scheduler so
   // clients can see which discipline their plans were keyed under.

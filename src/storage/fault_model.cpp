@@ -1,7 +1,6 @@
 #include "storage/fault_model.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -138,9 +137,9 @@ FaultConfig parse_fault_spec(const std::string& spec) {
 }
 
 FaultConfig fault_config_from_env(FaultConfig fallback) {
-  const char* env = std::getenv("FLO_FAULTS");
-  if (env == nullptr || *env == '\0') return fallback;
-  return parse_fault_spec(env);
+  static const std::optional<FaultConfig> spec =
+      util::read_knob("FLO_FAULTS", parse_fault_spec);
+  return spec ? *spec : std::move(fallback);
 }
 
 FaultPlan::FaultPlan(FaultConfig config) : config_(std::move(config)) {

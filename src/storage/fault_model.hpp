@@ -83,8 +83,10 @@ struct FaultConfig {
 FaultConfig parse_fault_spec(const std::string& spec);
 
 /// FaultConfig from the FLO_FAULTS environment variable (parse_fault_spec
-/// syntax). Returns `fallback` unchanged when the variable is unset or
-/// empty, so default runs stay byte-identical to the fault-free build.
+/// syntax), read and parsed once per process through util::read_knob; a
+/// malformed spec throws util::KnobError. Returns `fallback` unchanged
+/// when the variable is unset or empty, so default runs stay
+/// byte-identical to the fault-free build.
 FaultConfig fault_config_from_env(FaultConfig fallback = {});
 
 /// Seeded decision stream over a FaultConfig. Each decision category

@@ -1,7 +1,6 @@
 #include "storage/qos.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -29,21 +28,6 @@ std::optional<SchedPolicyKind> parse_sched_policy(const std::string& name) {
   if (name == "fcfs") return SchedPolicyKind::kFcfs;
   if (name == "priority") return SchedPolicyKind::kPriority;
   return std::nullopt;
-}
-
-SchedPolicyKind sched_policy_from_env() {
-  static const SchedPolicyKind policy = [] {
-    const char* env = std::getenv("FLO_SCHED");
-    if (env == nullptr || *env == '\0') return SchedPolicyKind::kLook;
-    const auto parsed = parse_sched_policy(env);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("FLO_SCHED: unknown disk scheduling policy '") + env +
-          "' (expected look, fcfs or priority)");
-    }
-    return *parsed;
-  }();
-  return policy;
 }
 
 void QosConfig::validate() const {
@@ -125,14 +109,20 @@ QosConfig parse_qos_spec(const std::string& spec) {
 }
 
 QosConfig qos_config_from_env(QosConfig fallback) {
-  const char* env = std::getenv("FLO_QOS");
-  QosConfig config =
-      (env == nullptr || *env == '\0') ? fallback : parse_qos_spec(env);
-  const char* sched = std::getenv("FLO_SCHED");
-  if (sched != nullptr && *sched != '\0') {
+  static const std::optional<QosConfig> spec =
+      util::read_knob("FLO_QOS", parse_qos_spec);
+  static const std::optional<SchedPolicyKind> sched =
+      util::read_knob("FLO_SCHED", [](const std::string& name) {
+        if (const auto policy = parse_sched_policy(name)) return *policy;
+        throw std::invalid_argument(
+            "unknown disk scheduling policy '" + name +
+            "' (expected look, fcfs or priority)");
+      });
+  QosConfig config = spec ? *spec : std::move(fallback);
+  if (sched) {
     // FLO_SCHED overrides whatever the spec (or fallback) chose; a bare
     // FLO_SCHED also enables QoS so the policy reaches the simulator.
-    config.scheduler = sched_policy_from_env();
+    config.scheduler = *sched;
     config.enabled = true;
   }
   return config;

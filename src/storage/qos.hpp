@@ -46,11 +46,6 @@ const char* sched_policy_name(SchedPolicyKind policy);
 /// Parses "look", "fcfs" or "priority" (case-sensitive); nullopt otherwise.
 std::optional<SchedPolicyKind> parse_sched_policy(const std::string& name);
 
-/// Process default from FLO_SCHED ("look" when unset/empty). An
-/// unrecognized value throws std::invalid_argument once, loudly, instead
-/// of silently scheduling with the wrong policy.
-SchedPolicyKind sched_policy_from_env();
-
 struct QosConfig {
   /// Master switch: when false the simulator takes the exact pre-QoS code
   /// paths and results are byte-identical to a build without QoS.
@@ -99,10 +94,12 @@ struct QosConfig {
 QosConfig parse_qos_spec(const std::string& spec);
 
 /// QosConfig from the FLO_QOS environment variable (parse_qos_spec
-/// syntax), with FLO_SCHED overriding the scheduler field afterwards.
-/// Returns `fallback` (scheduler possibly overridden) when FLO_QOS is
-/// unset or empty, so default runs stay byte-identical to the pre-QoS
-/// build.
+/// syntax), with FLO_SCHED (look, fcfs or priority) overriding the
+/// scheduler field afterwards. Returns `fallback` (scheduler possibly
+/// overridden) when FLO_QOS is unset or empty, so default runs stay
+/// byte-identical to the pre-QoS build. Both variables are read and
+/// parsed once per process through util::read_knob; a malformed one
+/// throws util::KnobError instead of silently running without QoS.
 QosConfig qos_config_from_env(QosConfig fallback = {});
 
 /// Largest-remainder apportionment of `capacity` blocks over `shares`

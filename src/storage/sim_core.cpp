@@ -1,7 +1,8 @@
 #include "storage/sim_core.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace flo::storage {
 
@@ -22,17 +23,12 @@ std::optional<SimCoreKind> parse_sim_core(const std::string& name) {
 }
 
 SimCoreKind sim_core_from_env() {
-  static const SimCoreKind core = [] {
-    const char* env = std::getenv("FLO_SIM");
-    if (env == nullptr || *env == '\0') return SimCoreKind::kClock;
-    const auto parsed = parse_sim_core(env);
-    if (!parsed) {
-      throw std::invalid_argument(
-          std::string("FLO_SIM: unknown simulator core '") + env +
-          "' (expected clock or event)");
-    }
-    return *parsed;
-  }();
+  static const SimCoreKind core =
+      util::read_knob("FLO_SIM", [](const std::string& name) {
+        if (const auto parsed = parse_sim_core(name)) return *parsed;
+        throw std::invalid_argument("unknown simulator core '" + name +
+                                    "' (expected clock or event)");
+      }).value_or(SimCoreKind::kClock);
   return core;
 }
 

@@ -21,9 +21,9 @@ const char* sim_core_name(SimCoreKind core);
 /// Parses "clock" or "event" (case-sensitive); std::nullopt otherwise.
 std::optional<SimCoreKind> parse_sim_core(const std::string& name);
 
-/// Process default from FLO_SIM ("clock" unless FLO_SIM=event). An
-/// unrecognized value throws std::invalid_argument once, loudly, instead
-/// of silently simulating with the wrong core.
+/// Process default from FLO_SIM ("clock" unless FLO_SIM=event), read once
+/// through util::read_knob. An unrecognized value throws util::KnobError
+/// instead of silently simulating with the wrong core.
 SimCoreKind sim_core_from_env();
 
 }  // namespace flo::storage

@@ -1,16 +1,16 @@
 #include "storage/trace_source.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "util/parse.hpp"
 
 namespace flo::storage {
 
 bool extents_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("FLO_EXTENTS");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }();
+  static const bool enabled =
+      util::read_knob("FLO_EXTENTS", [](const std::string& value) {
+        return value != "0";
+      }).value_or(true);
   return enabled;
 }
 

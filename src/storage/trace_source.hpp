@@ -41,7 +41,8 @@ struct AccessEvent {
   friend bool operator==(const AccessEvent&, const AccessEvent&) = default;
 };
 
-/// FLO_EXTENTS switch: extent batching is on by default (the fast path is
+/// FLO_EXTENTS switch, read once through util::read_knob: extent batching
+/// is on by default and for any value but 0 (the fast path is
 /// bit-identical to the per-block reference); FLO_EXTENTS=0 forces every
 /// producer and the simulator onto the golden per-block path.
 bool extents_enabled();

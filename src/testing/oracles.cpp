@@ -17,7 +17,6 @@
 #include "layout/conversion.hpp"
 #include "layout/internode.hpp"
 #include "linalg/unimodular.hpp"
-#include "util/log.hpp"
 #include "storage/qos.hpp"
 #include "storage/sim_core.hpp"
 #include "storage/simulator.hpp"
@@ -656,13 +655,6 @@ std::optional<std::string> check_solver_agreement(const FuzzCase& fc) {
                std::to_string(con_weight) + " < unimodular weight " +
                std::to_string(uni_weight) +
                " (the greedy anchor was lost)";
-      }
-      if (con_weight > uni_weight) {
-        // A genuine improvement over the greedy — benign, worth logging.
-        FLO_LOG_DEBUG << "solver-agreement: " << fc.program.name() << "/"
-                      << array.name() << " constraint " << con_weight
-                      << " > unimodular " << uni_weight << " (of "
-                      << uni.total_weight << ")";
       }
     }
   }

@@ -121,11 +121,4 @@ std::vector<std::uint32_t> InterleavedTraceSource::tenant_map() const {
   return map;
 }
 
-std::size_t InterleavedTraceSource::slot_count_of_tenant(
-    std::uint32_t tenant) const {
-  std::size_t n = 0;
-  for (const Slot& slot : slots_) n += slot.tenant == tenant ? 1 : 0;
-  return n;
-}
-
 }  // namespace flo::trace

@@ -67,9 +67,6 @@ class InterleavedTraceSource final : public storage::TraceSource {
   }
   /// Slot -> tenant map shaped for HierarchySimulator::set_tenants.
   std::vector<std::uint32_t> tenant_map() const;
-  /// Number of simulator slots carrying tenant `k`'s threads (the QoS
-  /// scenarios normalize per-tenant occupancy peaks by this).
-  std::size_t slot_count_of_tenant(std::uint32_t tenant) const;
 
  private:
   struct Slot {

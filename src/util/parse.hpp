@@ -2,8 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <exception>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,5 +34,27 @@ std::uint64_t spec_integer(
 /// `value` as a floating-point number: all of it, through std::stod.
 double spec_number(std::string_view spec, const std::string& key,
                    const std::string& value);
+
+/// A malformed environment knob; what() reads "FLO_X: <reason>".
+class KnobError : public std::invalid_argument {
+ public:
+  KnobError(const std::string& variable, const std::string& reason)
+      : std::invalid_argument(variable + ": " + reason) {}
+};
+
+/// The one reader of the FLO_* environment knobs: std::nullopt when
+/// `variable` is unset or empty, else parse(value). Whatever `parse`
+/// throws becomes a KnobError naming the variable.
+template <typename Parse>
+auto read_knob(const char* variable, Parse parse)
+    -> std::optional<decltype(parse(std::string()))> {
+  const char* value = std::getenv(variable);
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  try {
+    return parse(std::string(value));
+  } catch (const std::exception& err) {
+    throw KnobError(variable, err.what());
+  }
+}
 
 }  // namespace flo::util

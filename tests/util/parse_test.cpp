@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -69,6 +71,28 @@ TEST(SpecNumberTest, ReadsTheWholeText) {
                     "' for 'window'");
     }
   }
+}
+
+TEST(ReadKnobTest, UnsetAndEmptyAreAbsentAndAFailedParseNamesTheKnob) {
+  const auto twice = [](const std::string& value) {
+    const std::optional<std::uint64_t> v = parse_decimal_u64(value);
+    if (!v) throw std::invalid_argument("malformed integer '" + value + "'");
+    return 2 * *v;
+  };
+  ::unsetenv("FLO_TEST_KNOB");
+  EXPECT_EQ(read_knob("FLO_TEST_KNOB", twice), std::nullopt);
+  ::setenv("FLO_TEST_KNOB", "", 1);
+  EXPECT_EQ(read_knob("FLO_TEST_KNOB", twice), std::nullopt);
+  ::setenv("FLO_TEST_KNOB", "21", 1);
+  EXPECT_EQ(read_knob("FLO_TEST_KNOB", twice), 42u);
+  ::setenv("FLO_TEST_KNOB", "2l", 1);
+  try {
+    read_knob("FLO_TEST_KNOB", twice);
+    ADD_FAILURE() << "accepted '2l'";
+  } catch (const KnobError& e) {
+    EXPECT_EQ(std::string(e.what()), "FLO_TEST_KNOB: malformed integer '2l'");
+  }
+  ::unsetenv("FLO_TEST_KNOB");
 }
 
 }  // namespace

@@ -12,14 +12,15 @@
 // seed + iters + oracle set reproduces the same cases and verdicts.
 //
 // Exit codes: 0 all oracles held, 1 at least one failure (or a harness
-// error), 2 usage (an unknown flag, or a count that is not a whole string
-// of decimal digits).
+// error), 2 usage (an unknown flag, a count that is not a whole string of
+// decimal digits, or a malformed FLO_* knob).
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "testing/harness.hpp"
 #include "testing/oracles.hpp"
 #include "util/parse.hpp"
@@ -63,6 +64,7 @@ bool take_value(const std::string& arg, const std::string& key, int argc,
 
 int main(int argc, char** argv) {
   using namespace flo;
+  if (!core::check_knobs("flo_fuzz")) return 2;
   testing::FuzzOptions options;
   options.iters = 100;
 

@@ -18,9 +18,10 @@
 // (or FLO_QOS / FLO_SCHED) apply a tenant QoS configuration — cache
 // partitioning shares and the disk scheduling policy, src/storage/qos.hpp
 // syntax. A malformed QoS or fault spec is a configuration error (exit 2),
-// never a silent fallback. `--metrics` (or FLO_METRICS) dumps compile/simulation counters and spans to
-// flo_opt.metrics.* / flo_opt.trace.json next to the working directory;
-// stdout is unaffected.
+// never a silent fallback; so is any malformed FLO_* knob, checked before
+// the arguments. `--metrics` (or FLO_METRICS) dumps compile/simulation
+// counters and spans to flo_opt.metrics.* / flo_opt.trace.json next to the
+// working directory; stdout is unaffected.
 //
 // Malformed programs produce a compiler-style `file:line: message`
 // diagnostic and exit code 2; other failures exit 1.
@@ -68,6 +69,7 @@ bool parse_thread_count(const char* text, std::size_t& out) {
 
 int main(int argc, char** argv) {
   using namespace flo;
+  if (!core::check_knobs("flo_opt.cpp")) return 2;
   if (argc < 2) return usage(argv[0]);
 
   std::string path;
@@ -136,33 +138,24 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return usage(argv[0]);
 
-  // QoS is configuration, not input: a malformed spec (flag or FLO_QOS /
-  // FLO_SCHED) is diagnosed up front and exits 2 like a parse error, so a
-  // typo never silently simulates without the partitioning asked for.
-  storage::QosConfig qos;
+  // QoS and faults are configuration, not input: a malformed --qos or
+  // --faults spec (NaN values included) exits 2 like a parse error, so a
+  // typo never silently simulates without what was asked for. Their
+  // FLO_QOS / FLO_SCHED / FLO_FAULTS defaults were checked at startup.
+  storage::QosConfig qos = storage::qos_config_from_env();
+  storage::FaultConfig faults = storage::fault_config_from_env();
+  const char* flag = "--qos";
   try {
-    qos = qos_spec.empty() ? storage::qos_config_from_env()
-                           : storage::parse_qos_spec(qos_spec);
+    if (!qos_spec.empty()) qos = storage::parse_qos_spec(qos_spec);
+    flag = "--faults";
+    if (!fault_spec.empty()) faults = storage::parse_fault_spec(fault_spec);
   } catch (const std::exception& err) {
-    std::cerr << "flo_opt.cpp: " << (qos_spec.empty() ? "FLO_QOS" : "--qos")
-              << ": " << err.what() << '\n';
+    std::cerr << "flo_opt.cpp: " << flag << ": " << err.what() << '\n';
     return 2;
   }
   if (!sched_name.empty()) {
     qos.scheduler = *storage::parse_sched_policy(sched_name);
     qos.enabled = true;
-  }
-  // The fault spec is configuration too: a malformed or out-of-range spec
-  // (flag or FLO_FAULTS, NaN values included) exits 2 the same way.
-  storage::FaultConfig faults;
-  try {
-    faults = fault_spec.empty() ? storage::fault_config_from_env()
-                                : storage::parse_fault_spec(fault_spec);
-  } catch (const std::exception& err) {
-    std::cerr << "flo_opt.cpp: "
-              << (fault_spec.empty() ? "FLO_FAULTS" : "--faults") << ": "
-              << err.what() << '\n';
-    return 2;
   }
 
   if (metrics != obs::SinkMode::kOff) obs::set_enabled(true);

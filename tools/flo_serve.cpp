@@ -13,10 +13,10 @@
 // FLO_SERVE_QUEUE_DEPTH, FLO_SERVE_RATE, FLO_SERVE_BURST,
 // FLO_SERVE_DEADLINE_MS, FLO_SERVE_CACHE_CAPACITY,
 // FLO_SERVE_CACHE_JOURNAL, FLO_SERVE_MAX_FRAME, FLO_SERVE_IO_TIMEOUT_MS);
-// the command line wins. A malformed value in either place is a
-// configuration bug, not a preference — the daemon prints a
-// `flo_serve: <source>: message` diagnostic and exits 2 rather than
-// starting with a silently-wrong limit.
+// the command line wins. A malformed value in either place, or in one of
+// the library's FLO_* knobs, is a configuration bug, not a preference —
+// the daemon prints a `flo_serve: <source>: message` diagnostic and exits
+// 2 rather than starting with a silently-wrong limit.
 //
 // SIGINT/SIGTERM request a graceful stop: in-queue requests finish, the
 // socket file is removed, metrics flush, exit 0. SIGPIPE is ignored —
@@ -28,11 +28,10 @@
 #include <optional>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "service/server.hpp"
-#include "storage/qos.hpp"
-#include "storage/sim_core.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -87,6 +86,8 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   using namespace flo;
+  // A malformed FLO_* knob exits 2 here, not at the first compile.
+  if (!core::check_knobs("flo_serve")) return 2;
   std::signal(SIGPIPE, SIG_IGN);
 
   std::string socket_path;
@@ -186,20 +187,6 @@ int main(int argc, char** argv) {
       throw ConfigError("--queue-depth", "must be at least 1");
     }
 
-    // A daemon must not discover a malformed FLO_SIM on its first compile
-    // (the engine reads it lazily per experiment config) — fail now.
-    try {
-      (void)storage::sim_core_from_env();
-    } catch (const std::exception& e) {
-      throw ConfigError("FLO_SIM", e.what());
-    }
-    // Same startup discipline for the tenant QoS knobs the compile path
-    // reads per request: a malformed spec fails here, not mid-service.
-    try {
-      (void)storage::qos_config_from_env();
-    } catch (const std::exception& e) {
-      throw ConfigError("FLO_QOS", e.what());
-    }
   } catch (const ConfigError& e) {
     std::cerr << "flo_serve: " << e.what() << "\n";
     return 2;
